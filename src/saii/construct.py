@@ -16,6 +16,14 @@ pending sentinel, tracked by a monitor so lower-bound queries still see
 the logical index; the final flush materializes the last sentinel and
 the result is bit-identical to the standard schedule.
 
+Checkpoints follow each edit by an exact delta rather than a re-count
+(see `saii.occtable`): every row past the edit moves by one symbol.
+The standard schedule pays two deltas per symbol, one for the
+overwrite and one for the sentinel insertion; the prefetch schedule
+pays one for the merged insertion, and the flush one more.  This is
+the 2i/w against i/w Update charge of `saii.costmodel`.  A row is
+tallied from the buffer only when the text completes a block.
+
 Construction allocates nothing proportional to the text beyond the
 index itself: the BWT buffer and checkpoint rows are reserved up front
 and edits run in place.
@@ -23,7 +31,7 @@ and edits run in place.
 
 from __future__ import annotations
 
-from .alphabet import PackedSequence
+from .alphabet import A, PackedSequence
 from .bwt import Bwt
 from .errors import CapacityExceeded, EmptyText
 from .fmindex import CArray, FmIndex
@@ -106,15 +114,16 @@ def step(state: SaiiState, code: int) -> int:
     new sentinel row."""
     state._check_capacity()
     bwt = state.bwt
+    occ = state.occ
     q_old = state.q
     bwt.overwrite(q_old, code)
+    occ.apply_overwrite(q_old, A, code)  # the sentinel slot held raw A
     # One backward-search step for the extended suffix.  The query
-    # prefix ends below q_old, so neither the overwrite nor the not yet
-    # refreshed checkpoints above it can be seen.
-    q_new = state.c.counts[code] + occ_count(state.occ, bwt, code, q_old - 1) + 1
+    # prefix ends below q_old, so the overwrite cannot be seen.
+    q_new = state.c.counts[code] + occ_count(occ, bwt, code, q_old - 1) + 1
     bwt.insert_sentinel(q_new)
+    occ.apply_insert(bwt, q_new, A)
     state.c.add_symbol(code)
-    state.occ.rebuild_from(bwt, min(q_old, q_new) // state.occ.k)
     state.q = q_new
     state.chars_consumed += 1
     return q_new
@@ -131,14 +140,14 @@ def prefetch_step(state: SaiiState, monitor: PrefetchMonitor, code: int) -> int:
         q_old = state.q
         q_new = state.c.counts[code] + monitor.corrected_occ(state, code, q_old - 1) + 1
         bwt.overwrite(q_old, code)
-        state.occ.rebuild_from(bwt, q_old // state.occ.k)
+        state.occ.apply_overwrite(q_old, A, code)
     else:
         q_old = monitor.pending_pos
         q_new = state.c.counts[code] + monitor.corrected_occ(state, code, q_old - 1) + 1
         # merged pass: the deferred sentinel slot takes this symbol
         # directly, one insertion instead of insert-then-overwrite
         bwt.insert_symbol(q_old, code)
-        state.occ.rebuild_from(bwt, q_old // state.occ.k)
+        state.occ.apply_insert(bwt, q_old, code)
     state.c.add_symbol(code)
     monitor.pending_pos = q_new
     monitor.pending_symbol = code
@@ -153,7 +162,7 @@ def prefetch_flush(state: SaiiState, monitor: PrefetchMonitor) -> None:
     if monitor.pending_pos is None:
         return
     state.bwt.insert_sentinel(monitor.pending_pos)
-    state.occ.rebuild_from(state.bwt, monitor.pending_pos // state.occ.k)
+    state.occ.apply_insert(state.bwt, monitor.pending_pos, A)
     monitor.pending_pos = None
     monitor.pending_symbol = None
 

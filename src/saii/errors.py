@@ -34,5 +34,9 @@ class InvalidParams(SaiiError):
     """A cost-model parameter (n, m, k, clock) is out of its legal range."""
 
 
+class InvalidSamplingRate(SaiiError, ValueError):
+    """The occurrence checkpoint spacing k is below 1."""
+
+
 class IndexFormatError(SaiiError):
     """An index file failed validation (magic, version, structure, or CRC)."""

@@ -73,6 +73,7 @@ class PackedBuffer:
         grown[: len(self._buf)] = self._buf
         self._buf = grown
         self._np = None  # old view points at the abandoned bytearray
+        self._s1 = self._s2 = None  # sized for the old buffer
 
     def _view(self):
         if self._np is None:
@@ -99,8 +100,9 @@ class PackedBuffer:
 
         v = self._view()
         if self._s1 is None:
-            self._s1 = np.empty(_SHIFT_CHUNK, dtype=np.uint8)
-            self._s2 = np.empty(_SHIFT_CHUNK, dtype=np.uint8)
+            size = min(_SHIFT_CHUNK, len(self._buf))
+            self._s1 = np.empty(size, dtype=np.uint8)
+            self._s2 = np.empty(size, dtype=np.uint8)
         first = pos >> 2
         hi = (n + 4) >> 2  # bytes occupied once length becomes n + 1
         lo = first + 1
@@ -121,6 +123,10 @@ class PackedBuffer:
         # the slot up to bit 6 move up two (bits 6..7 were carried above).
         self._buf[first] = (b & low) | (code << r) | ((b & (0x3F & ~low)) << 2)
         self.length = n + 1
+
+    def gather(self, byte, shift):
+        """Codes at the packed slots `(byte, shift)` made by `slots`."""
+        return (self._view()[byte] >> shift) & 3
 
     def count_range(self, start: int, stop: int) -> list:
         """Tallies of each code over symbol positions [start, stop)."""
@@ -172,6 +178,11 @@ class PackedBuffer:
 
     def __repr__(self) -> str:
         return f"PackedBuffer(length={self.length})"
+
+
+def slots(positions):
+    """(byte index, bit shift) arrays locating each symbol position."""
+    return positions >> 2, ((positions & 3) << 1).astype(np.uint8)
 
 
 def tally_bytes(data: bytes, length: int) -> list:

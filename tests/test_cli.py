@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import saii
 from saii import construct, oracle
 from saii.alphabet import encode_text
 from saii.cli import main
@@ -164,11 +167,31 @@ def test_bench_bad_params(capsys):
     assert main(["bench", "--lengths", "100", "--m", "0"]) == 1
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("command", ["build", "verify", "bench"])
+def test_invalid_k_exit_code(tmp_path, capsys, command, k):
+    src = tmp_path / "t.fa"
+    src.write_text(">t\nACGCTTG\n")
+    argv = {
+        "build": ["build", str(src), "-o", str(tmp_path / "t.saii")],
+        "verify": ["verify", "--trials", "2"],
+        "bench": ["bench", "--mode", "measure", "--lengths", "64"],
+    }[command]
+    assert main(argv + ["--k", k]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: sampling rate must be >= 1")
+    assert "Traceback" not in err
+
+
 def test_module_entrypoint_smoke():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(saii.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "saii", "bench", "--lengths", "2048", "--mode", "model"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,")

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saii import construct, oracle
 from saii.alphabet import PackedSequence, decode, encode_text
 from saii.errors import CapacityExceeded, EmptyText
 from saii.fmindex import first_mismatch, search
+from saii.occtable import SampledOccTable
 
 
 def random_text(rng, max_len, min_len=1):
@@ -168,3 +171,46 @@ def test_build_strict_capacity_bound():
         construct.build(PackedSequence.from_codes([0] * 8), k=4, strict_capacity=True)
     finally:
         construct.HARDWARE_MAX_LEN = old
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=150),
+    st.sampled_from([1, 2, 3, 4, 7, 64]),
+    st.booleans(),
+)
+@example([(i * i + 3 * i + i // 5) % 4 for i in range(150)], 7, False)
+@example([(i * i + 3 * i + i // 5) % 4 for i in range(150)], 64, True)
+def test_delta_checkpoints_match_rebuild_after_every_edit(codes, k, reserved):
+    # k = 64 covers both k > n and texts crossing a few boundaries;
+    # without a reservation the rows also grow during the build
+    reserve = len(codes) + 1 if reserved else 0
+    std = construct.init_state(k, reserve=reserve)
+    pre = construct.init_state(k, reserve=reserve)
+    monitor = construct.PrefetchMonitor()
+    for code in reversed(codes):
+        construct.step(std, code)
+        assert std.occ == SampledOccTable.build(std.bwt, k)
+        construct.prefetch_step(pre, monitor, code)
+        assert pre.occ == SampledOccTable.build(pre.bwt, k)
+    construct.prefetch_flush(pre, monitor)
+    assert pre.occ == SampledOccTable.build(pre.bwt, k)
+    assert first_mismatch(std.as_index(), oracle.full_index(PackedSequence.from_codes(codes), k=k)) is None
+
+
+@pytest.mark.parametrize("schedule", ["standard", "prefetch"])
+def test_build_tallies_only_completed_blocks(schedule, monkeypatch):
+    blocks = []
+    rebuild_from = SampledOccTable.rebuild_from
+
+    def counted(table, bwt, from_block):
+        blocks.append(bwt.data.length // table.k + 1 - max(from_block, 1))
+        return rebuild_from(table, bwt, from_block)
+
+    monkeypatch.setattr(SampledOccTable, "rebuild_from", counted)
+    rng = random.Random(47)
+    for n, k in [(1, 1), (40, 1), (40, 3), (257, 16), (300, 64), (50, 2048)]:
+        blocks.clear()
+        text = random_text(rng, n, min_len=n)
+        construct.build(text, k=k, schedule=schedule)
+        assert sum(blocks) == (n + 1) // k

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -82,3 +83,24 @@ def test_reserve_keeps_contents():
     assert buf.codes() == [1, 2, 3]
     buf.append(2)
     assert buf.codes() == [1, 2, 3, 2]
+
+
+def test_shift_scratch_follows_buffer_size():
+    codes = [i % 4 for i in range(300)]
+    buf = PackedBuffer.from_codes(codes)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        buf.insert(0, 3)  # vector path: the tail is longer than 48 symbols
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048  # two full 4 KB shift chunks would not fit
+    # growth drops the small scratch, so a long shift gets a full-size one
+    model = [3] + codes
+    for i in range(20_000):
+        buf.append(i % 4)
+        model.append(i % 4)
+    buf.insert(1, 2)
+    model.insert(1, 2)
+    assert buf.codes() == model
