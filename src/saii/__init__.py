@@ -10,7 +10,7 @@ bench`).
 
 from .alphabet import PackedSequence, decode, encode_text
 from .bwt import Bwt
-from .construct import DEFAULT_K, PrefetchMonitor, SaiiState, build
+from .construct import DEFAULT_K, SaiiState, build
 from .errors import (
     CapacityExceeded,
     EmptyText,
@@ -35,7 +35,7 @@ from .fmindex import (
     search,
 )
 from .costmodel import CostReport, HardwareParams, emit_scaling_table, predict_cycles, simulate_fsm
-from .occtable import SampledOccTable, block_scan_count
+from .occtable import SampledOccTable
 from .serialize import dump_index, dumps_index, load_index, loads_index
 
 __version__ = "0.1.0"
@@ -55,13 +55,11 @@ __all__ = [
     "InvalidParams",
     "MissingSuffixArray",
     "PackedSequence",
-    "PrefetchMonitor",
     "SaiiError",
     "SaiiState",
     "SampledOccTable",
     "SearchRange",
     "backward_extend",
-    "block_scan_count",
     "bracket",
     "build",
     "build_c_array",

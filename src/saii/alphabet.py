@@ -7,8 +7,10 @@ it exists only as a position (see `saii.bwt.Bwt.dollar_pos`).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import EmptyText, InvalidCharacter
-from .packedbuf import tally_bytes
+from .packedbuf import code_at, pack, tally, unpack
 
 A, C, G, T = 0, 1, 2, 3
 SYMBOLS = "ACGT"
@@ -39,10 +41,7 @@ class PackedSequence:
 
     @classmethod
     def from_codes(cls, codes) -> "PackedSequence":
-        data = bytearray((len(codes) + 3) >> 2)
-        for i, c in enumerate(codes):
-            data[i >> 2] |= c << ((i & 3) << 1)
-        return cls(bytes(data), len(codes))
+        return cls(pack(codes, len(codes)), len(codes))
 
     def __len__(self) -> int:
         return self.length
@@ -50,18 +49,17 @@ class PackedSequence:
     def code_at(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError(i)
-        return (self.data[i >> 2] >> ((i & 3) << 1)) & 3
+        return code_at(self.data, i)
 
     def codes(self) -> list:
-        data = self.data
-        return [(data[i >> 2] >> ((i & 3) << 1)) & 3 for i in range(self.length)]
+        return unpack(self.data, self.length)
 
     def suffix(self, start: int) -> "PackedSequence":
         return PackedSequence.from_codes(self.codes()[start:])
 
     def tally(self) -> list:
         """Per-code symbol counts."""
-        return tally_bytes(self.data, self.length)
+        return tally(np.frombuffer(self.data, dtype=np.uint8), 0, self.length)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PackedSequence):
@@ -87,19 +85,14 @@ def encode_text(text: str, substitute: bool = False) -> PackedSequence:
     """
     if not text:
         raise EmptyText("cannot encode an empty text")
-    data = bytearray((len(text) + 3) >> 2)
-    get = _CODE_OF.get
-    for i, ch in enumerate(text):
-        code = get(ch)
-        if code is None:
-            if not substitute:
-                raise InvalidCharacter(i, ch)
-            code = A
-        data[i >> 2] |= code << ((i & 3) << 1)
-    return PackedSequence(bytes(data), len(text))
+    lookup = (lambda ch: _CODE_OF.get(ch, A)) if substitute else _CODE_OF.__getitem__
+    try:
+        return PackedSequence(pack(map(lookup, text), len(text)), len(text))
+    except KeyError:
+        i = next(i for i, ch in enumerate(text) if ch not in _CODE_OF)
+        raise InvalidCharacter(i, text[i]) from None
 
 
 def decode(seq: PackedSequence) -> str:
     """Inverse of encode_text for every valid input."""
-    data = seq.data
-    return "".join(SYMBOLS[(data[i >> 2] >> ((i & 3) << 1)) & 3] for i in range(seq.length))
+    return "".join([SYMBOLS[c] for c in seq.codes()])

@@ -3,8 +3,8 @@
 The sentinel is not a fifth symbol: its slot stores code A and
 `dollar_pos` remembers where it lives.  Occurrence counting for A must
 therefore exclude `dollar_pos`, which `saii.occtable` takes care of.
-`dollar_pos` is None only transiently while the incremental constructor
-has overwritten the sentinel slot and not yet reinserted it.
+`dollar_pos` is None while the incremental constructor has the sentinel
+pending: inside a standard step, and between prefetch steps.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import construct, oracle
 from .alphabet import PackedSequence, decode, encode_text
 from .costmodel import HardwareParams, emit_scaling_table, predict_cycles
-from .errors import SaiiError
+from .errors import InvalidParams, SaiiError
 from .fasta import read_sequences
 from .fmindex import first_mismatch, search
 from .serialize import dump_index, load_index
@@ -57,22 +57,18 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _verify_one(text: PackedSequence, k: int, tamper: bool) -> tuple:
+def _verify_one(text: PackedSequence, k: int) -> tuple:
     """(ok, step, field, detail) for one text."""
     std = construct.init_state(k)
     pre = construct.init_state(k)
-    monitor = construct.PrefetchMonitor()
     codes = text.codes()
     for i in range(len(codes) - 1, -1, -1):
         q_std = construct.step(std, codes[i])
-        q_pre = construct.prefetch_step(pre, monitor, codes[i])
+        q_pre = construct.prefetch_step(pre, codes[i])
         if q_std != q_pre:
             return False, len(codes) - 1 - i, "q", f"standard={q_std} prefetch={q_pre}"
-    construct.prefetch_flush(pre, monitor)
+    construct.prefetch_flush(pre)
     built = std.as_index()
-    if tamper:
-        pos = 0 if built.bwt.dollar_pos != 0 else 1
-        built.bwt.data.set(pos, built.bwt.code_at(pos) ^ 1)
     field = first_mismatch(built, pre.as_index())
     if field is not None:
         return False, "final", field, "schedules disagree"
@@ -94,6 +90,8 @@ def _locate_bad_step(text: PackedSequence, k: int):
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1 or args.max_len < 1:
+        raise InvalidParams(f"--trials and --max-len must be >= 1, got {args.trials} and {args.max_len}")
     k = args.k
     failures = 0
     trials = 0
@@ -103,9 +101,7 @@ def cmd_verify(args) -> int:
             bad = 0
             for combo in itertools.product(range(4), repeat=length):
                 trials += 1
-                ok, step_at, field, detail = _verify_one(
-                    PackedSequence.from_codes(list(combo)), k, tamper=False
-                )
+                ok, step_at, field, detail = _verify_one(PackedSequence.from_codes(combo), k)
                 if not ok:
                     failures += 1
                     bad += 1
@@ -125,7 +121,7 @@ def cmd_verify(args) -> int:
             ]
         for t, text in enumerate(texts):
             trials += 1
-            ok, step_at, field, detail = _verify_one(text, k, tamper=args.inject_fault and t == 0)
+            ok, step_at, field, detail = _verify_one(text, k)
             shown = decode(text) if text.length <= 60 else decode(text)[:57] + "..."
             if ok:
                 print(f"trial {t}: len={text.length} PASS")
@@ -137,7 +133,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lengths = sorted({int(part) for part in args.lengths.split(",") if part})
+    try:
+        lengths = sorted({int(part) for part in args.lengths.split(",") if part})
+    except ValueError:
+        raise InvalidParams(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
+    if not lengths or lengths[0] < 1:
+        raise InvalidParams(f"--lengths needs one or more lengths >= 1, got {args.lengths!r}")
     params = HardwareParams(m=args.m, k=args.k, clock_hz=args.clock_hz)
     if args.mode == "model":
         sys.stdout.write(emit_scaling_table(params, lengths))
@@ -194,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--k", type=int, default=4, help="checkpoint spacing used for the verified builds")
     p.add_argument("--exhaustive", action="store_true", help="all texts of length 1..max-len")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="cycle-model table and wall-clock build times")
@@ -212,10 +212,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SaiiError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (SaiiError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -31,7 +31,7 @@ class CapacityExceeded(SaiiError):
 
 
 class InvalidParams(SaiiError):
-    """A cost-model parameter (n, m, k, clock) is out of its legal range."""
+    """A numeric parameter (a length, a trial count, m, k, clock) is out of its legal range."""
 
 
 class InvalidSamplingRate(SaiiError, ValueError):

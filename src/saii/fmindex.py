@@ -36,9 +36,6 @@ class CArray:
         for b in range(code + 1, 4):
             counts[b] += 1
 
-    def copy(self) -> "CArray":
-        return CArray(self.counts)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CArray):
             return NotImplemented
@@ -58,7 +55,7 @@ def build_c_array(seq: PackedSequence) -> CArray:
     return CArray(c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchRange:
     low: int
     high: int
@@ -77,20 +74,23 @@ class FmIndex:
     """Aggregate of BWT, C array and sampled occurrence table.
 
     `sa` is present only on oracle-built indexes; incrementally built
-    ones support counting but not locating.
+    ones support counting but not locating.  The length `n` (sentinel
+    included) and sampling rate `k` are read from the BWT and the table.
     """
 
     bwt: Bwt
     c: CArray
     occ: SampledOccTable
-    n: int
-    k: int
     sa: list | None = None
     prefetch_built: bool = field(default=False, compare=False)
 
-    def __post_init__(self):
-        if self.n != self.bwt.data.length:
-            raise ValueError(f"n={self.n} but BWT holds {self.bwt.data.length} symbols")
+    @property
+    def n(self) -> int:
+        return self.bwt.data.length
+
+    @property
+    def k(self) -> int:
+        return self.occ.k
 
 
 def occ_query(index: FmIndex, code: int, i: int) -> int:
@@ -120,15 +120,10 @@ def search(index: FmIndex, query: PackedSequence) -> SearchRange:
     """
     if query.length == 0:
         raise EmptyText("cannot search for an empty query")
-    c = index.c.counts
-    occ = index.occ
-    bwt = index.bwt
-    low, high = 0, index.n - 1
+    rng = initial_range(index)
     for code in reversed(query.codes()):
-        ca = c[code]
-        low = ca + occ_count(occ, bwt, code, low - 1) + 1
-        high = ca + occ_count(occ, bwt, code, high)
-    return SearchRange(low, high)
+        rng = backward_extend(index, rng, code)
+    return rng
 
 
 def count(index: FmIndex, query: PackedSequence) -> int:

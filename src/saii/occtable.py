@@ -52,12 +52,9 @@ class SampledOccTable:
         self._cp = cp
         self._bound_slots = slots(np.arange(len(cp), dtype=np.int64) * self.k)
 
-    def checkpoint(self, j: int):
-        """Raw tallies over BWT[0 : j*k] (half open); row view, do not mutate."""
-        return self._cp[j]
-
     def checkpoints(self):
-        """(num_checkpoints, 4) view of the live rows."""
+        """(num_checkpoints, 4) view of the live rows; row j holds the raw
+        tallies over BWT[0 : j*k] (half open).  Do not mutate."""
         return self._cp[: self.num_checkpoints]
 
     def rebuild_from(self, bwt: Bwt, from_block: int) -> "SampledOccTable":
@@ -113,6 +110,14 @@ class SampledOccTable:
             self.rebuild_from(bwt, hi)
 
     @classmethod
+    def from_rows(cls, k: int, rows) -> "SampledOccTable":
+        """Table whose checkpoints are the (m, 4) int64 array `rows`."""
+        table = cls(k)
+        table._set_rows(rows)
+        table.num_checkpoints = len(rows)
+        return table
+
+    @classmethod
     def build(cls, bwt: Bwt, k: int) -> "SampledOccTable":
         table = cls(k, reserve_len=bwt.data.length)
         table.rebuild_from(bwt, 0)
@@ -131,18 +136,6 @@ class SampledOccTable:
         return f"SampledOccTable(k={self.k}, checkpoints={self.num_checkpoints})"
 
 
-def block_scan_count(bwt: Bwt, code: int, start: int, end: int) -> int:
-    """Occurrences of `code` in bwt[start..end] inclusive.
-
-    The sentinel slot is excluded when counting A.  Intended for spans
-    shorter than one sampling block.
-    """
-    total = bwt.data.count_code(code, start, end + 1)
-    if code == A and bwt.dollar_pos is not None and start <= bwt.dollar_pos <= end:
-        total -= 1
-    return total
-
-
 def occ_count(table: SampledOccTable, bwt: Bwt, code: int, i: int) -> int:
     """Occurrences of `code` in bwt[0..i], sentinel excluded; occ(*, -1) = 0."""
     if i < 0:
@@ -150,7 +143,8 @@ def occ_count(table: SampledOccTable, bwt: Bwt, code: int, i: int) -> int:
     k = table.k
     block = i // k
     anchor = block * k
-    total = int(table._cp[block][code]) + bwt.data.count_code(code, anchor, i + 1)
+    # scan first, so that no checkpoint value is held while it allocates
+    total = bwt.data.count_code(code, anchor, i + 1) + int(table._cp[block][code])
     if code == A and bwt.dollar_pos is not None and bwt.dollar_pos <= i:
         total -= 1
     return total

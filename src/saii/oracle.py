@@ -65,8 +65,6 @@ def full_index(text: PackedSequence, k: int = 2048) -> FmIndex:
         bwt=bwt,
         c=build_c_array(text),
         occ=SampledOccTable.build(bwt, k),
-        n=text.length + 1,
-        k=k,
         sa=sa,
     )
 

@@ -1,8 +1,10 @@
-"""Mutable 2-bit-per-symbol buffer with in-place insertion.
+"""The 2-bit symbol layout, and a mutable buffer with in-place insertion.
 
 Symbol i occupies bits [2*(i % 4), 2*(i % 4) + 2) of byte i // 4,
 least-significant slot first.  Slots at indices >= length are kept zero
-so that the payload bytes of equal buffers compare equal.
+so that the payload bytes of equal buffers compare equal.  `pack`,
+`unpack`, `code_at` and `tally` are the one codec for this layout; the
+immutable `saii.alphabet.PackedSequence` uses them too.
 
 Small edits run as plain Python bit twiddling; edits whose affected
 region is large are vectorized over a numpy view of the same bytes,
@@ -11,6 +13,8 @@ is ever allocated.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -32,27 +36,24 @@ class PackedBuffer:
 
     __slots__ = ("_buf", "_np", "_s1", "_s2", "length")
 
-    def __init__(self, reserve: int = 0):
-        self._buf = bytearray((reserve + 3) >> 2)
+    def __init__(self, data: bytes = b"", length: int = 0, *, reserve: int = 0):
+        """Buffer of `length` codes packed in `data`, with room for `reserve`."""
+        self._buf = bytearray(max(len(data), (reserve + 3) >> 2))
+        self._buf[: len(data)] = data
         self._np = None
         self._s1 = None
         self._s2 = None
-        self.length = 0
+        self.length = length
 
     @classmethod
     def from_codes(cls, codes) -> "PackedBuffer":
-        buf = cls(reserve=len(codes))
-        data = buf._buf
-        for i, c in enumerate(codes):
-            data[i >> 2] |= c << ((i & 3) << 1)
-        buf.length = len(codes)
-        return buf
+        return cls(pack(codes, len(codes)), len(codes))
 
     def __len__(self) -> int:
         return self.length
 
     def get(self, i: int) -> int:
-        return (self._buf[i >> 2] >> ((i & 3) << 1)) & 3
+        return code_at(self._buf, i)
 
     def set(self, i: int, code: int) -> None:
         b = i >> 2
@@ -130,27 +131,7 @@ class PackedBuffer:
 
     def count_range(self, start: int, stop: int) -> list:
         """Tallies of each code over symbol positions [start, stop)."""
-        counts = [0, 0, 0, 0]
-        if stop <= start:
-            return counts
-        buf = self._buf
-        if stop - start < _COUNT_VECTOR_MIN:
-            for i in range(start, stop):
-                counts[(buf[i >> 2] >> ((i & 3) << 1)) & 3] += 1
-            return counts
-        head = min(stop, (start + 3) & ~3)
-        for i in range(start, head):
-            counts[(buf[i >> 2] >> ((i & 3) << 1)) & 3] += 1
-        tail = max(head, stop & ~3)
-        mid = np.bincount(self._view()[head >> 2 : tail >> 2], minlength=256)
-        vec = mid @ _CODE_TALLY
-        for i in range(tail, stop):
-            counts[(buf[i >> 2] >> ((i & 3) << 1)) & 3] += 1
-        counts[0] += int(vec[0])
-        counts[1] += int(vec[1])
-        counts[2] += int(vec[2])
-        counts[3] += int(vec[3])
-        return counts
+        return tally(self._view(), start, stop)
 
     def count_code(self, code: int, start: int, stop: int) -> int:
         """Occurrences of one code over symbol positions [start, stop)."""
@@ -168,8 +149,7 @@ class PackedBuffer:
         return bytes(self._buf[: (self.length + 3) >> 2])
 
     def codes(self) -> list:
-        buf = self._buf
-        return [(buf[i >> 2] >> ((i & 3) << 1)) & 3 for i in range(self.length)]
+        return unpack(self._buf, self.length)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PackedBuffer):
@@ -180,24 +160,38 @@ class PackedBuffer:
         return f"PackedBuffer(length={self.length})"
 
 
+def pack(codes, length: int) -> bytearray:
+    """Packed bytes of the `length` codes drawn from the iterable `codes`;
+    streams, allocating nothing beyond the ceil(length/4) output bytes."""
+    data = bytearray((length + 3) >> 2)
+    for i, c in enumerate(codes):
+        data[i >> 2] |= c << ((i & 3) << 1)
+    return data
+
+
+def unpack(data, length: int) -> list:
+    """The first `length` codes of packed bytes."""
+    return [(data[i >> 2] >> ((i & 3) << 1)) & 3 for i in range(length)]
+
+
+def code_at(data, i: int) -> int:
+    """Code at symbol position i of packed bytes."""
+    return (data[i >> 2] >> ((i & 3) << 1)) & 3
+
+
+def tally(view, start: int, stop: int) -> list:
+    """Tallies of each code over symbol positions [start, stop) of the
+    uint8 array `view` of packed bytes."""
+    if stop - start < _COUNT_VECTOR_MIN:
+        counts, head, tail = [0, 0, 0, 0], stop, stop
+    else:
+        head, tail = (start + 3) & ~3, stop & ~3
+        counts = (np.bincount(view[head >> 2 : tail >> 2], minlength=256) @ _CODE_TALLY).tolist()
+    for i in chain(range(start, head), range(tail, stop)):
+        counts[(view[i >> 2] >> ((i & 3) << 1)) & 3] += 1
+    return counts
+
+
 def slots(positions):
     """(byte index, bit shift) arrays locating each symbol position."""
     return positions >> 2, ((positions & 3) << 1).astype(np.uint8)
-
-
-def tally_bytes(data: bytes, length: int) -> list:
-    """Tallies of each code over the first `length` symbols of packed bytes."""
-    counts = [0, 0, 0, 0]
-    if length < _COUNT_VECTOR_MIN:
-        for i in range(length):
-            counts[(data[i >> 2] >> ((i & 3) << 1)) & 3] += 1
-        return counts
-    whole = length >> 2
-    vec = np.bincount(np.frombuffer(data, dtype=np.uint8, count=whole), minlength=256) @ _CODE_TALLY
-    for i in range(whole << 2, length):
-        counts[(data[i >> 2] >> ((i & 3) << 1)) & 3] += 1
-    counts[0] += int(vec[0])
-    counts[1] += int(vec[1])
-    counts[2] += int(vec[2])
-    counts[3] += int(vec[3])
-    return counts

@@ -66,23 +66,15 @@ def loads_index(blob: bytes) -> FmIndex:
     expected = _HEADER.size + payload_len + rows * 32
     if len(body) != expected:
         raise IndexFormatError(f"file holds {len(body)} bytes, expected {expected}")
-    payload = body[_HEADER.size : _HEADER.size + payload_len]
-    buf = PackedBuffer(reserve=n)
-    buf._buf[:payload_len] = payload
-    buf.length = n
-    occ = SampledOccTable(k, reserve_len=n)
-    occ._cp = (
+    checkpoints = (
         np.frombuffer(body, dtype="<u8", count=rows * 4, offset=_HEADER.size + payload_len)
         .reshape(rows, 4)
         .astype(np.int64)
     )
-    occ.num_checkpoints = rows
     return FmIndex(
-        bwt=Bwt(buf, dollar),
+        bwt=Bwt(PackedBuffer(body[_HEADER.size : _HEADER.size + payload_len], n), dollar),
         c=CArray([c0, c1, c2, c3]),
-        occ=occ,
-        n=n,
-        k=k,
+        occ=SampledOccTable.from_rows(k, checkpoints),
         sa=None,
         prefetch_built=bool(flags & _FLAG_PREFETCH),
     )

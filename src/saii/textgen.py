@@ -13,17 +13,4 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def random_sequence(rng: np.random.Generator, length: int) -> PackedSequence:
     """Uniform ACGT sequence of exactly `length` symbols."""
-    codes = rng.integers(0, 4, size=length, dtype=np.uint8)
-    groups = np.zeros((length + 3) // 4 * 4, dtype=np.uint8)
-    groups[:length] = codes
-    packed = (
-        groups.reshape(-1, 4) * np.array([1, 4, 16, 64], dtype=np.uint8)
-    ).sum(axis=1, dtype=np.uint8)
-    return PackedSequence(packed.tobytes(), length)
-
-
-def random_sequences(seed: int, trials: int, max_len: int):
-    """Reproducible stream of sequences with lengths uniform in [1, max_len]."""
-    rng = make_rng(seed)
-    for _ in range(trials):
-        yield random_sequence(rng, int(rng.integers(1, max_len + 1)))
+    return PackedSequence.from_codes(rng.integers(0, 4, size=length, dtype=np.uint8).tolist())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +59,19 @@ def test_roundtrip(s):
 @given(acgt, acgt)
 def test_order_preserved(s, t):
     assert (s < t) == (encode_text(s) < encode_text(t))
+
+
+def test_encode_text_streams():
+    # packing must not materialize a per-character intermediate
+    text = "ACGT" * 1024
+    encode_text(text)  # warm any lazily created objects
+    tracemalloc.start()
+    try:
+        encode_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text)
 
 
 def test_suffix_and_code_at():

@@ -135,8 +135,17 @@ def test_verify_exhaustive_small(capsys):
     assert "84/84 passed" in out
 
 
-def test_verify_injected_fault_detected(capsys):
-    assert main(["verify", "--trials", "2", "--max-len", "12", "--seed", "5", "--inject-fault"]) == 2
+def test_verify_injected_fault_detected(capsys, monkeypatch):
+    flush = construct.prefetch_flush
+
+    def corrupting_flush(state):
+        # a build fault: one BWT symbol off after the prefetch schedule
+        flush(state)
+        pos = 0 if state.bwt.dollar_pos != 0 else 1
+        state.bwt.data.set(pos, state.bwt.code_at(pos) ^ 1)
+
+    monkeypatch.setattr(construct, "prefetch_flush", corrupting_flush)
+    assert main(["verify", "--trials", "2", "--max-len", "12", "--seed", "5"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "field=bwt" in out
 
@@ -181,6 +190,24 @@ def test_invalid_k_exit_code(tmp_path, capsys, command, k):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: sampling rate must be >= 1")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--lengths", "abc"],
+        ["bench", "--mode", "measure", "--lengths", "-5"],
+        ["bench", "--mode", "measure", "--lengths", ","],
+        ["verify", "--max-len", "0", "--trials", "2"],
+        ["verify", "--trials", "-1"],
+    ],
+)
+def test_bad_numeric_args_exit_code(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "passed" not in captured.out
 
 
 def test_module_entrypoint_smoke():

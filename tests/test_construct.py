@@ -22,7 +22,7 @@ def test_init_state():
     assert state.bwt.decode_with_sentinel() == "$"
     assert state.q == 0
     assert state.c.counts == [0, 0, 0, 0]
-    assert list(state.occ.checkpoint(0)) == [0, 0, 0, 0]
+    assert list(state.occ.checkpoints()[0]) == [0, 0, 0, 0]
     assert state.occ.num_checkpoints == 1
 
 
@@ -101,29 +101,29 @@ def test_prefetch_q_sequence_and_final_state():
         codes = text.codes()
         std = construct.init_state(k=4)
         pre = construct.init_state(k=4)
-        monitor = construct.PrefetchMonitor()
         q_std, q_pre = [], []
         for i in range(len(codes) - 1, -1, -1):
             q_std.append(construct.step(std, codes[i]))
-            q_pre.append(construct.prefetch_step(pre, monitor, codes[i]))
+            q_pre.append(construct.prefetch_step(pre, codes[i]))
         assert q_std == q_pre
-        construct.prefetch_flush(pre, monitor)
+        construct.prefetch_flush(pre)
         assert first_mismatch(std.as_index(), pre.as_index()) is None
-        assert monitor.pending_pos is None
+        assert pre.bwt.dollar_pos == pre.q
 
 
 def test_prefetch_intermediate_states_lag_by_one():
     text = encode_text("ACGCT")
     codes = text.codes()
     pre = construct.init_state(k=4)
-    monitor = construct.PrefetchMonitor()
     for i in range(len(codes) - 1, -1, -1):
-        construct.prefetch_step(pre, monitor, codes[i])
-        # physical buffer is one short: the sentinel is pending
+        q = construct.prefetch_step(pre, codes[i])
+        # physical buffer is one short: the sentinel is pending at row q
         assert pre.bwt.data.length == len(codes) - i
         assert pre.bwt.dollar_pos is None
-        assert monitor.pending_pos is not None
-        assert monitor.pending_symbol == codes[i]
+        assert pre.q == q
+    construct.prefetch_flush(pre)
+    assert pre.bwt.dollar_pos == pre.q
+    assert first_mismatch(pre.as_index(), oracle.full_index(text, k=4)) is None
 
 
 def test_prefetch_single_character_degenerates():
@@ -153,14 +153,6 @@ def test_unknown_schedule_rejected():
         construct.build(encode_text("ACG"), k=4, schedule="eager")
 
 
-def test_strict_capacity():
-    state = construct.init_state(k=4, max_len=5)
-    for code in [0, 1, 2, 3, 0]:
-        construct.step(state, code)
-    with pytest.raises(CapacityExceeded):
-        construct.step(state, 1)
-
-
 def test_build_strict_capacity_bound():
     text = PackedSequence.from_codes([0] * 10)
     old = construct.HARDWARE_MAX_LEN
@@ -187,13 +179,12 @@ def test_delta_checkpoints_match_rebuild_after_every_edit(codes, k, reserved):
     reserve = len(codes) + 1 if reserved else 0
     std = construct.init_state(k, reserve=reserve)
     pre = construct.init_state(k, reserve=reserve)
-    monitor = construct.PrefetchMonitor()
     for code in reversed(codes):
         construct.step(std, code)
         assert std.occ == SampledOccTable.build(std.bwt, k)
-        construct.prefetch_step(pre, monitor, code)
+        construct.prefetch_step(pre, code)
         assert pre.occ == SampledOccTable.build(pre.bwt, k)
-    construct.prefetch_flush(pre, monitor)
+    construct.prefetch_flush(pre)
     assert pre.occ == SampledOccTable.build(pre.bwt, k)
     assert first_mismatch(std.as_index(), oracle.full_index(PackedSequence.from_codes(codes), k=k)) is None
 

@@ -4,21 +4,13 @@ import numpy as np
 import pytest
 
 from saii import oracle
-from saii.alphabet import A, PackedSequence, encode_text
+from saii.alphabet import PackedSequence, encode_text
 from saii.errors import SaiiError
-from saii.occtable import SampledOccTable, block_scan_count, occ_count
+from saii.occtable import SampledOccTable, occ_count
 
 
 def make_bwt(text):
     return oracle.bwt_from_suffix_array(text, oracle.suffix_array(text))
-
-
-def test_block_scan_worked_example():
-    bwt = make_bwt(encode_text("ACGCTTG"))  # G$AGTCTC
-    assert block_scan_count(bwt, 3, 0, 7) == 2  # T
-    assert block_scan_count(bwt, 2, 0, 0) == 1  # single position holding G
-    # a range containing only the sentinel slot counts no A
-    assert block_scan_count(bwt, A, 1, 1) == 0
 
 
 def test_checkpoints_against_full_table():

@@ -1,11 +1,12 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saii.packedbuf import PackedBuffer, tally_bytes
+from saii.packedbuf import PackedBuffer, tally
 
 codes_lists = st.lists(st.integers(0, 3), max_size=300)
 
@@ -69,11 +70,14 @@ def test_count_vector_path():
 
 
 def test_tally_bytes_matches():
+    # the tally behind count_range also reads immutable packed bytes
     rng = random.Random(3)
     for length in [0, 1, 5, 63, 64, 65, 1000]:
         codes = [rng.randrange(4) for _ in range(length)]
-        buf = PackedBuffer.from_codes(codes)
-        assert tally_bytes(buf.payload(), length) == [codes.count(a) for a in range(4)]
+        payload = np.frombuffer(PackedBuffer.from_codes(codes).payload(), dtype=np.uint8)
+        assert tally(payload, 0, length) == [codes.count(a) for a in range(4)]
+        for start, stop in [(1, length), (length // 3, length - 2)]:
+            assert tally(payload, start, stop) == [codes[start:stop].count(a) for a in range(4)]
 
 
 def test_reserve_keeps_contents():
