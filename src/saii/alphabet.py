@@ -7,8 +7,6 @@ it exists only as a position (see `saii.bwt.Bwt.dollar_pos`).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import EmptyText, InvalidCharacter
 from .packedbuf import code_at, pack, tally, unpack
 
@@ -59,7 +57,7 @@ class PackedSequence:
 
     def tally(self) -> list:
         """Per-code symbol counts."""
-        return tally(np.frombuffer(self.data, dtype=np.uint8), 0, self.length)
+        return tally(self.data, 0, self.length)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PackedSequence):

@@ -9,6 +9,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import construct, oracle
 from .alphabet import PackedSequence, decode, encode_text
 from .costmodel import HardwareParams, emit_scaling_table, predict_cycles
@@ -16,7 +18,7 @@ from .errors import InvalidParams, SaiiError
 from .fasta import read_sequences
 from .fmindex import first_mismatch, search
 from .serialize import dump_index, load_index
-from .textgen import make_rng, random_sequence
+from .textgen import random_sequence
 
 
 def _build_record(job):
@@ -114,7 +116,7 @@ def cmd_verify(args) -> int:
         if args.input:
             texts = [encode_text(rec.sequence) for rec in read_sequences(args.input)]
         else:
-            rng = make_rng(args.seed)
+            rng = np.random.default_rng(args.seed)
             texts = [
                 random_sequence(rng, int(rng.integers(1, args.max_len + 1)))
                 for _ in range(args.trials)
@@ -144,7 +146,7 @@ def cmd_bench(args) -> int:
         sys.stdout.write(emit_scaling_table(params, lengths))
         return 0
     print(f"# seed {args.seed}", file=sys.stderr)
-    rng = make_rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     measured = {}
     for n in lengths:
         text = random_sequence(rng, n)

@@ -56,7 +56,10 @@ def parse_fasta(text: str) -> list:
 def read_sequences(path) -> list:
     """Records from a FASTA file, or one anonymous record for raw text."""
     with open(path, "r") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise FastaFormatError(f"{path}: not a text file (byte {err.start}: {err.reason})") from None
     stripped = text.lstrip()
     if stripped.startswith(">"):
         return parse_fasta(text)

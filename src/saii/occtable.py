@@ -77,13 +77,7 @@ class SampledOccTable:
             from_block = 1
         buf = bwt.data
         for j in range(from_block, total):
-            tallies = buf.count_range((j - 1) * k, j * k)
-            prev = cp[j - 1]
-            row = cp[j]
-            row[0] = prev[0] + tallies[0]
-            row[1] = prev[1] + tallies[1]
-            row[2] = prev[2] + tallies[2]
-            row[3] = prev[3] + tallies[3]
+            cp[j] = cp[j - 1] + buf.count_range((j - 1) * k, j * k)
         self.num_checkpoints = total
         return self
 
@@ -143,7 +137,8 @@ def occ_count(table: SampledOccTable, bwt: Bwt, code: int, i: int) -> int:
     k = table.k
     block = i // k
     anchor = block * k
-    # scan first, so that no checkpoint value is held while it allocates
+    # scan first: a checkpoint int held across the scan's allocations
+    # adds its 32 B to the allocation peak of every count query
     total = bwt.data.count_code(code, anchor, i + 1) + int(table._cp[block][code])
     if code == A and bwt.dollar_pos is not None and bwt.dollar_pos <= i:
         total -= 1

@@ -6,27 +6,24 @@ so that the payload bytes of equal buffers compare equal.  `pack`,
 `unpack`, `code_at` and `tally` are the one codec for this layout; the
 immutable `saii.alphabet.PackedSequence` uses them too.
 
-Small edits run as plain Python bit twiddling; edits whose affected
-region is large are vectorized over a numpy view of the same bytes,
-working in fixed-size chunks so no temporary proportional to the buffer
-is ever allocated.
+A run of packed bytes read as one little-endian Python int holds its
+codes as two bit planes: the low bit of each code at the even bit
+positions, the high bit at the odd ones.  `tally` counts codes with
+popcounts over those planes (broadword rank), and a short insertion
+shifts the int up by one slot.  An insertion with a long tail shifts a
+numpy view of the same bytes instead, in fixed-size chunks, so no
+temporary grows with the buffer.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
-# Tallies of the four 2-bit codes inside each possible byte value.
-_CODE_TALLY = np.zeros((256, 4), dtype=np.int64)
-for _b in range(256):
-    for _s in range(4):
-        _CODE_TALLY[_b, (_b >> (2 * _s)) & 3] += 1
-
-# Tail sizes below these run the scalar path; above, the numpy path.
-_INSERT_VECTOR_MIN = 48
-_COUNT_VECTOR_MIN = 64
+# Insertions whose tail holds at least this many symbols shift it through
+# numpy; shorter tails shift as one Python int.  The int shift is the
+# faster one below about 4,096 symbols, and this bound also caps its
+# temporaries, a few copies of the tail's packed bytes.
+_INSERT_VECTOR_MIN = 4096
 
 _SHIFT_CHUNK = 4096  # bytes per vector shift step; bounds scratch usage
 
@@ -85,44 +82,33 @@ class PackedBuffer:
         """Insert `code` at symbol position `pos`, shifting the tail up."""
         n = self.length
         self.reserve(n + 1)
-        if n - pos < _INSERT_VECTOR_MIN:
-            buf = self._buf
-            j = n
-            while j > pos:
-                src = j - 1
-                c = (buf[src >> 2] >> ((src & 3) << 1)) & 3
-                b = j >> 2
-                shift = (j & 3) << 1
-                buf[b] = (buf[b] & ~(3 << shift) & 0xFF) | (c << shift)
-                j -= 1
-            self.set(pos, code)
-            self.length = n + 1
-            return
-
-        v = self._view()
-        if self._s1 is None:
-            size = min(_SHIFT_CHUNK, len(self._buf))
-            self._s1 = np.empty(size, dtype=np.uint8)
-            self._s2 = np.empty(size, dtype=np.uint8)
         first = pos >> 2
         hi = (n + 4) >> 2  # bytes occupied once length becomes n + 1
-        lo = first + 1
-        # Bytes after the insertion byte gain two bits carried in from the
-        # byte to their left.  Chunks run right-to-left so each read sees
-        # the pre-shift contents.
-        while hi > lo:
-            a = max(lo, hi - _SHIFT_CHUNK)
-            m = hi - a
-            np.left_shift(v[a:hi], 2, out=self._s1[:m])
-            np.right_shift(v[a - 1 : hi - 1], 6, out=self._s2[:m])
-            np.bitwise_or(self._s1[:m], self._s2[:m], out=v[a:hi])
-            hi = a
+        if n - pos >= _INSERT_VECTOR_MIN:
+            v = self._view()
+            if self._s1 is None:
+                size = min(_SHIFT_CHUNK, len(self._buf))
+                self._s1 = np.empty(size, dtype=np.uint8)
+                self._s2 = np.empty(size, dtype=np.uint8)
+            lo = first + 1
+            # Bytes after the insertion byte gain two bits carried in from
+            # the byte to their left.  Chunks run right-to-left so each read
+            # sees the pre-shift contents; the loop ends at hi == lo.
+            while hi > lo:
+                a = max(lo, hi - _SHIFT_CHUNK)
+                m = hi - a
+                np.left_shift(v[a:hi], 2, out=self._s1[:m])
+                np.right_shift(v[a - 1 : hi - 1], 6, out=self._s2[:m])
+                np.bitwise_or(self._s1[:m], self._s2[:m], out=v[a:hi])
+                hi = a
+            self._buf[first] &= 0x3F  # its top slot was carried above
+        # Bytes [first, hi) as one int: bits below the slot stay, the slot
+        # takes the new code, the rest move up one slot.  The top slot is
+        # zero (padding, or cleared above), so the result fits the bytes.
         r = (pos & 3) << 1
-        b = self._buf[first]
-        low = (1 << r) - 1
-        # Bits below the slot stay, the slot takes the new code, bits from
-        # the slot up to bit 6 move up two (bits 6..7 were carried above).
-        self._buf[first] = (b & low) | (code << r) | ((b & (0x3F & ~low)) << 2)
+        x = int.from_bytes(self._buf[first:hi], "little")
+        x = ((x >> r) << (r + 2)) | (code << r) | (x & ((1 << r) - 1))
+        self._buf[first:hi] = x.to_bytes(hi - first, "little")
         self.length = n + 1
 
     def gather(self, byte, shift):
@@ -131,18 +117,11 @@ class PackedBuffer:
 
     def count_range(self, start: int, stop: int) -> list:
         """Tallies of each code over symbol positions [start, stop)."""
-        return tally(self._view(), start, stop)
+        return tally(self._buf, start, stop)
 
     def count_code(self, code: int, start: int, stop: int) -> int:
         """Occurrences of one code over symbol positions [start, stop)."""
-        if stop - start < _COUNT_VECTOR_MIN:
-            buf = self._buf
-            total = 0
-            for i in range(start, stop):
-                if (buf[i >> 2] >> ((i & 3) << 1)) & 3 == code:
-                    total += 1
-            return total
-        return self.count_range(start, stop)[code]
+        return tally(self._buf, start, stop)[code]
 
     def payload(self) -> bytes:
         """The packed bytes holding symbols [0, length)."""
@@ -179,17 +158,21 @@ def code_at(data, i: int) -> int:
     return (data[i >> 2] >> ((i & 3) << 1)) & 3
 
 
-def tally(view, start: int, stop: int) -> list:
-    """Tallies of each code over symbol positions [start, stop) of the
-    uint8 array `view` of packed bytes."""
-    if stop - start < _COUNT_VECTOR_MIN:
-        counts, head, tail = [0, 0, 0, 0], stop, stop
-    else:
-        head, tail = (start + 3) & ~3, stop & ~3
-        counts = (np.bincount(view[head >> 2 : tail >> 2], minlength=256) @ _CODE_TALLY).tolist()
-    for i in chain(range(start, head), range(tail, stop)):
-        counts[(view[i >> 2] >> ((i & 3) << 1)) & 3] += 1
-    return counts
+def tally(data, start: int, stop: int) -> list:
+    """Tallies of each code over symbol positions [start, stop) of packed
+    bytes `data` (bytes, bytearray or a uint8 array); [0, 0, 0, 0] when
+    the range is empty or reversed."""
+    n = stop - start
+    if n <= 0:
+        return [0, 0, 0, 0]
+    x = int.from_bytes(data[start >> 2 : (stop + 3) >> 2], "little") >> ((start & 3) << 1)
+    m = (1 << (n << 1)) // 3  # a 01 bit pair per symbol in range
+    lo = x & m
+    hi = (x >> 1) & m
+    t = (lo & hi).bit_count()
+    c = lo.bit_count() - t
+    g = hi.bit_count() - t
+    return [n - c - g - t, c, g, t]
 
 
 def slots(positions):

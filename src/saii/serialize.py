@@ -14,17 +14,22 @@ Little-endian throughout:
     crc32    u32      over all preceding bytes
 
 The CRC is verified before anything is parsed, so any single corrupted
-byte fails the load.  Serialization is canonical: load followed by dump
-reproduces the input byte for byte.
+byte fails the load.  A file with a valid CRC must also be one that a
+build could have written: the sentinel slot reads as A, the padding bits
+are zero, and C and every checkpoint row agree with the BWT.
+Serialization is canonical: load followed by dump reproduces the input
+byte for byte.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from itertools import accumulate
 
 import numpy as np
 
+from .alphabet import A
 from .bwt import Bwt
 from .errors import IndexFormatError
 from .fmindex import CArray, FmIndex
@@ -71,13 +76,31 @@ def loads_index(blob: bytes) -> FmIndex:
         .reshape(rows, 4)
         .astype(np.int64)
     )
-    return FmIndex(
+    index = FmIndex(
         bwt=Bwt(PackedBuffer(body[_HEADER.size : _HEADER.size + payload_len], n), dollar),
         c=CArray([c0, c1, c2, c3]),
         occ=SampledOccTable.from_rows(k, checkpoints),
         sa=None,
         prefetch_built=bool(flags & _FLAG_PREFETCH),
     )
+    _check_consistent(index)
+    return index
+
+
+def _check_consistent(index: FmIndex) -> None:
+    """Raise IndexFormatError unless the fields agree with the BWT."""
+    bwt = index.bwt
+    n = bwt.data.length
+    if bwt.code_at(bwt.dollar_pos) != A:
+        raise IndexFormatError("sentinel slot does not read as A")
+    if any(bwt.data.count_range(n, (n + 3) & ~3)[1:]):
+        raise IndexFormatError("padding bits past the last symbol are set")
+    if SampledOccTable.build(bwt, index.k) != index.occ:
+        raise IndexFormatError("occurrence checkpoints disagree with the BWT")
+    tally = bwt.data.count_range(0, n)
+    tally[A] -= 1  # sentinel slot is not a text A
+    if index.c.counts != list(accumulate(tally[:3], initial=0)):
+        raise IndexFormatError("C array disagrees with the BWT")
 
 
 def dump_index(index: FmIndex, path) -> None:

@@ -210,6 +210,16 @@ def test_bad_numeric_args_exit_code(capsys, argv):
     assert "passed" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_non_utf8_input_exit_code(tmp_path, capsys, command):
+    src = tmp_path / "bin.fa"
+    src.write_bytes(b"\xff\xfe\x00ACGT")
+    assert main([command, str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: {src}: not a text file")
+    assert "Traceback" not in err
+
+
 def test_module_entrypoint_smoke():
     # the child imports the same package as this process, installed or not
     src = str(Path(saii.__file__).resolve().parent.parent)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saii.packedbuf import PackedBuffer, tally
+from saii.packedbuf import _INSERT_VECTOR_MIN, PackedBuffer, pack, tally
 
 codes_lists = st.lists(st.integers(0, 3), max_size=300)
 
@@ -27,7 +27,7 @@ def test_insert_matches_list_model(codes, code, data):
     assert buf.codes() == model
 
 
-def test_insert_vector_path_matches_scalar():
+def test_insert_int_and_vector_paths_match_list_model():
     rng = random.Random(7)
     codes = [rng.randrange(4) for _ in range(5000)]
     buf = PackedBuffer.from_codes(codes)
@@ -38,6 +38,50 @@ def test_insert_vector_path_matches_scalar():
         buf.insert(pos, c)
         model.insert(pos, c)
     assert buf.codes() == model
+
+
+def test_insert_path_boundaries():
+    # tails on both sides of the int/vector switch and short ones, at every
+    # slot offset of the insertion point and of the length
+    t = _INSERT_VECTOR_MIN
+    for n in range(t + 8, t + 12):
+        codes = [(i * 7 + i // 5) % 4 for i in range(n)]
+        for tail in (0, 1, 2, 3, t - 1, t, t + 1):
+            pos = n - tail
+            buf = PackedBuffer.from_codes(codes)
+            buf.insert(pos, 2)
+            model = codes[:pos] + [2] + codes[pos:]
+            payload = buf.payload()
+            assert payload == pack(model, len(model)), (n, tail)
+            assert not any(buf._buf[len(payload) :])
+
+
+def peak_bytes(op) -> int:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_code_allocation():
+    # one occ_count scan at the default k = 2048; the byte-value
+    # histogram this replaced allocated 6.5 KB
+    buf = PackedBuffer.from_codes([i % 4 for i in range(4096)])
+    assert peak_bytes(lambda: buf.count_code(2, 1, 2048)) < 4096
+
+
+def test_int_insert_allocation_bounded_by_threshold():
+    # the int path holds a few copies of the tail's packed bytes, never
+    # of the buffer's 16 KB
+    n = 65_536
+    bound = 2 * _INSERT_VECTOR_MIN
+    assert bound < n // 4
+    buf = PackedBuffer.from_codes([i % 4 for i in range(n)])
+    buf.reserve(n + 1)
+    assert peak_bytes(lambda: buf.insert(n - (_INSERT_VECTOR_MIN - 1), 1)) < bound
 
 
 def test_unused_slots_stay_zero():
@@ -60,7 +104,7 @@ def test_count_range_matches_list_model(codes, data):
         assert buf.count_code(a, start, stop) == counts[a]
 
 
-def test_count_vector_path():
+def test_count_long_ranges():
     rng = random.Random(11)
     codes = [rng.randrange(4) for _ in range(4096)]
     buf = PackedBuffer.from_codes(codes)
@@ -74,10 +118,13 @@ def test_tally_bytes_matches():
     rng = random.Random(3)
     for length in [0, 1, 5, 63, 64, 65, 1000]:
         codes = [rng.randrange(4) for _ in range(length)]
-        payload = np.frombuffer(PackedBuffer.from_codes(codes).payload(), dtype=np.uint8)
-        assert tally(payload, 0, length) == [codes.count(a) for a in range(4)]
-        for start, stop in [(1, length), (length // 3, length - 2)]:
-            assert tally(payload, start, stop) == [codes[start:stop].count(a) for a in range(4)]
+        payload = PackedBuffer.from_codes(codes).payload()
+        # mid-byte starts and stops, one symbol, empty and reversed
+        ranges = [(0, length), (1, length), (length // 3, length - 2), (2, min(3, length))]
+        ranges += [(length, length), (length, 0)]
+        for data in (payload, bytearray(payload), np.frombuffer(payload, dtype=np.uint8)):
+            for start, stop in ranges:
+                assert tally(data, start, stop) == [codes[start:stop].count(a) for a in range(4)]
 
 
 def test_reserve_keeps_contents():
@@ -90,16 +137,11 @@ def test_reserve_keeps_contents():
 
 
 def test_shift_scratch_follows_buffer_size():
-    codes = [i % 4 for i in range(300)]
+    codes = [i % 4 for i in range(_INSERT_VECTOR_MIN + 1)]
     buf = PackedBuffer.from_codes(codes)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        buf.insert(0, 3)  # vector path: the tail is longer than 48 symbols
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 2048  # two full 4 KB shift chunks would not fit
+    # vector path: the tail holds more than _INSERT_VECTOR_MIN symbols;
+    # scratch for this 1 KB buffer fits, two full 4 KB shift chunks would not
+    assert peak_bytes(lambda: buf.insert(0, 3)) < 4096
     # growth drops the small scratch, so a long shift gets a full-size one
     model = [3] + codes
     for i in range(20_000):

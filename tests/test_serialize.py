@@ -1,5 +1,7 @@
-import random
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
 from saii import construct, oracle
@@ -7,7 +9,7 @@ from saii.alphabet import encode_text
 from saii.errors import IndexFormatError
 from saii.fmindex import count, first_mismatch
 from saii.serialize import dump_index, dumps_index, load_index, loads_index
-from saii.textgen import make_rng, random_sequence
+from saii.textgen import random_sequence
 
 
 def test_roundtrip_fields():
@@ -25,7 +27,7 @@ def test_prefetch_flag_survives():
 
 
 def test_canonical_bytes():
-    rng = make_rng(123)
+    rng = np.random.default_rng(123)
     for _ in range(25):
         text = random_sequence(rng, int(rng.integers(1, 200)))
         k = int(rng.choice([1, 2, 7, 16, 2048]))
@@ -40,6 +42,45 @@ def test_every_single_byte_corruption_detected():
         bad[pos] ^= 0x5A
         with pytest.raises(IndexFormatError):
             loads_index(bytes(bad))
+
+
+def _forge(blob: bytes, edit) -> bytes:
+    """`blob` with `edit` applied to its body and the CRC recomputed."""
+    body = bytearray(blob[:-4])
+    edit(body)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+def _add_u64(offset: int, delta: int):
+    return lambda body: struct.pack_into("<Q", body, offset, struct.unpack_from("<Q", body, offset)[0] + delta)
+
+
+def _sentinel_to_c(body) -> None:
+    (dollar,) = struct.unpack_from("<Q", body, 20)
+    body[60 + (dollar >> 2)] |= 1 << ((dollar & 3) << 1)
+
+
+def _padding_to_t(body) -> None:
+    body[63] |= 0xC0
+
+
+# n = 15 at k = 4: the BWT is bytes 60..63 with one padding slot in the
+# top bits of byte 63, and checkpoint row j starts at byte 64 + 32 j.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_sentinel_to_c, "sentinel"),
+        (_padding_to_t, "padding"),
+        (_add_u64(64 + 32 + 24, 1), "checkpoints"),  # row 1, count of T
+        (_add_u64(28 + 24, 1), "C array"),  # C[T]
+    ],
+    ids=["sentinel", "padding", "checkpoint", "c"],
+)
+def test_forged_field_rejected(edit, message):
+    blob = dumps_index(construct.build(encode_text("ACGCTTGACGTTAG"), k=4))
+    loads_index(_forge(blob, lambda body: None))  # the forging alone keeps a file valid
+    with pytest.raises(IndexFormatError, match=message):
+        loads_index(_forge(blob, edit))
 
 
 def test_truncated_file_rejected():
