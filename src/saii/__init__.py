@@ -34,7 +34,7 @@ from .fmindex import (
     occ_query,
     search,
 )
-from .costmodel import CostReport, HardwareParams, emit_scaling_table, predict_cycles, simulate_fsm
+from .costmodel import CostReport, HardwareParams, emit_scaling_table, predict_cycles
 from .occtable import SampledOccTable
 from .serialize import dump_index, dumps_index, load_index, loads_index
 
@@ -76,5 +76,4 @@ __all__ = [
     "occ_query",
     "predict_cycles",
     "search",
-    "simulate_fsm",
 ]

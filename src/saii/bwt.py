@@ -4,12 +4,13 @@ The sentinel is not a fifth symbol: its slot stores code A and
 `dollar_pos` remembers where it lives.  Occurrence counting for A must
 therefore exclude `dollar_pos`, which `saii.occtable` takes care of.
 `dollar_pos` is None while the incremental constructor has the sentinel
-pending: inside a standard step, and between prefetch steps.
+pending, between a step and its flush.  `saii.construct` alone edits
+`data` and moves `dollar_pos` during a build.
 """
 
 from __future__ import annotations
 
-from .alphabet import A, SYMBOLS
+from .alphabet import SYMBOLS
 from .packedbuf import PackedBuffer
 
 
@@ -30,20 +31,6 @@ class Bwt:
     def code_at(self, i: int) -> int:
         """Raw 2-bit code at position i (the sentinel slot reads as A)."""
         return self.data.get(i)
-
-    def overwrite(self, pos: int, code: int) -> None:
-        self.data.set(pos, code)
-        if pos == self.dollar_pos:
-            self.dollar_pos = None
-
-    def insert_symbol(self, pos: int, code: int) -> None:
-        self.data.insert(pos, code)
-        if self.dollar_pos is not None and self.dollar_pos >= pos:
-            self.dollar_pos += 1
-
-    def insert_sentinel(self, pos: int) -> None:
-        self.data.insert(pos, A)
-        self.dollar_pos = pos
 
     def decode_with_sentinel(self) -> str:
         """Readable form, e.g. 'G$AGTCTC'."""

@@ -1,22 +1,23 @@
 """Incremental FM-index construction by right-to-left symbol insertion.
 
 Starting from the index of the sentinel alone, each step absorbs the
-next symbol to the left using only the index built so far: the symbol
-overwrites the sentinel slot, the sentinel's new row is one
-backward-search step (the sentinel row *is* the row of the current
-suffix, so no full search is ever run), and the sentinel is reinserted
-there.  After every step the state is exactly the index of the current
-suffix.
+next symbol to the left using only the index built so far.  The
+sentinel's new row is one backward-search step (the sentinel row *is*
+the row of the current suffix, so no full search is ever run); the
+symbol then takes the sentinel's old slot, and the sentinel moves to
+the new row.
 
-The prefetch schedule defers each sentinel insertion and merges it with
-the next symbol's update: since the next symbol lands precisely where
-the sentinel would have gone, both writes collapse into a single
-insertion pass.  Between steps the sentinel is then pending: it is not
-in the buffer, `bwt.dollar_pos` is None, and `SaiiState.q` alone holds
-its row.  A step's row query stops below `q`, where the buffer agrees
-with the logical index, so it needs no correction.  The final flush
-inserts the last sentinel, and the result is bit-identical to the
-standard schedule.
+There is one step, `prefetch_step`, after the paper's prefetch
+controller: it leaves the sentinel pending, out of the buffer with
+`bwt.dollar_pos` None and its row held by `SaiiState.q` alone.  The
+next step puts its symbol where the sentinel would have gone, so both
+writes collapse into a single insertion; `prefetch_flush` inserts the
+last sentinel.  The standard schedule, `step`, is that same step with
+the flush run at once: the symbol overwrites the sentinel slot and the
+sentinel is reinserted, so after every standard step the state is
+exactly the index of the current suffix.  A step's row query stops
+below `q`, where the buffer agrees with the logical index either way,
+and both schedules give bit-identical indexes.
 
 Checkpoints follow each edit by an exact delta rather than a re-count
 (see `saii.occtable`): every row past the edit moves by one symbol.
@@ -76,41 +77,35 @@ def init_state(k: int = DEFAULT_K, *, reserve: int = 0) -> SaiiState:
 
 
 def step(state: SaiiState, code: int) -> int:
-    """Absorb the next symbol leftward (standard schedule); returns the
-    new sentinel row."""
-    bwt = state.bwt
-    occ = state.occ
-    q_old = state.q
-    bwt.overwrite(q_old, code)
-    occ.apply_overwrite(q_old, A, code)  # the sentinel slot held raw A
-    # One backward-search step for the extended suffix.  The query
-    # prefix ends below q_old, so the overwrite cannot be seen.
-    q_new = state.c.counts[code] + occ_count(occ, bwt, code, q_old - 1) + 1
-    bwt.insert_sentinel(q_new)
-    occ.apply_insert(bwt, q_new, A)
-    state.c.add_symbol(code)
-    state.q = q_new
-    return q_new
+    """Absorb the next symbol leftward (standard schedule): the prefetch
+    step with its sentinel inserted at once.  Returns the new sentinel
+    row."""
+    prefetch_step(state, code)
+    prefetch_flush(state)
+    return state.q
 
 
 def prefetch_step(state: SaiiState, code: int) -> int:
     """Absorb the next symbol with the deferred-insertion schedule;
-    returns the new sentinel row (identical to the standard schedule's)."""
+    returns the new sentinel row, and leaves the sentinel pending."""
     bwt = state.bwt
     occ = state.occ
     q_old = state.q
-    # The query prefix ends below q_old, where the buffer already
-    # agrees with the logical index whether or not a sentinel is pending.
+    # One backward-search step for the extended suffix.  The query
+    # prefix ends below q_old, where the buffer agrees with the logical
+    # index whether or not a sentinel is pending, and neither edit
+    # below moves a checkpoint the query reads.
     q_new = state.c.counts[code] + occ_count(occ, bwt, code, q_old - 1) + 1
     if bwt.dollar_pos is None:
         # merged pass: the deferred sentinel slot takes this symbol
         # directly, one insertion instead of insert-then-overwrite
-        bwt.insert_symbol(q_old, code)
+        bwt.data.insert(q_old, code)
         occ.apply_insert(bwt, q_old, code)
     else:
-        # nothing deferred yet: plain overwrite of the sentinel slot
-        bwt.overwrite(q_old, code)
-        occ.apply_overwrite(q_old, A, code)
+        # the sentinel is in the buffer: overwrite its slot
+        bwt.data.set(q_old, code)
+        bwt.dollar_pos = None
+        occ.apply_overwrite(q_old, A, code)  # the sentinel slot held raw A
     state.c.add_symbol(code)
     state.q = q_new
     return q_new
@@ -118,10 +113,12 @@ def prefetch_step(state: SaiiState, code: int) -> int:
 
 def prefetch_flush(state: SaiiState) -> None:
     """Insert the pending sentinel, if any, at row `q`; afterwards the
-    state is exact (there is no further symbol to merge it with)."""
-    if state.bwt.dollar_pos is None:
-        state.bwt.insert_sentinel(state.q)
-        state.occ.apply_insert(state.bwt, state.q, A)
+    state is exact."""
+    bwt = state.bwt
+    if bwt.dollar_pos is None:
+        bwt.data.insert(state.q, A)  # the sentinel slot stores raw A
+        bwt.dollar_pos = state.q
+        state.occ.apply_insert(bwt, state.q, A)
 
 
 def build(

@@ -5,8 +5,7 @@ refresh whose cost grows with the amount of index built so far: every
 iteration inside chunk i (the i-th group of k iterations) charges
 i / words_per_cycle refresh cycles with the merged update of the
 prefetch design, twice that without it.  Totals are kept as exact
-rationals and rounded up only at the end, so the closed form and the
-state-machine replay agree to the cycle.
+rationals and rounded up only at the end.
 
 With the defaults (m = 3, k = 2048, 120 MHz) a 131,072 symbol build
 costs 2,523,136 cycles, about 21 ms.
@@ -14,11 +13,10 @@ costs 2,523,136 cycles, about 21 ms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .alphabet import PackedSequence
 from .errors import InvalidParams
 
 
@@ -41,7 +39,6 @@ class CostReport:
     cycles_baseline: int
     wall_time_s: float
     per_chunk: list  # exact per-chunk cycle contributions (prefetch schedule)
-    trace: list | None = field(default=None, compare=False)
 
     @property
     def wall_time_ms(self) -> float:
@@ -81,60 +78,6 @@ def predict_cycles(params: HardwareParams, n: int) -> CostReport:
         cycles_baseline=ceil(sum(baseline)),
         wall_time_s=cycles / params.clock_hz,
         per_chunk=prefetch,
-    )
-
-
-def simulate_fsm(
-    params: HardwareParams,
-    text: PackedSequence,
-    *,
-    prefetch: bool = True,
-    collect_trace: bool = False,
-) -> CostReport:
-    """Replay the controller state sequence for a concrete sequence.
-
-    One iteration per symbol: Search (m cycles) then the refresh
-    states, Update alone when the deferred insertion is merged in, or
-    separate Update and Insert phases without prefetching.  Totals for
-    both designs are accumulated; the optional trace records the state
-    sequence of the requested one.
-    """
-    params.validate()
-    n = text.length
-    if n < 1:
-        raise InvalidParams("cannot simulate an empty sequence")
-    m, k, w = params.m, params.k, params.words_per_cycle
-    trace = [("Initial", Fraction(0))] if collect_trace else None
-    total_pre = Fraction(0)
-    total_base = Fraction(0)
-    per_chunk = []
-    chunk_acc = Fraction(0)
-    chunk = 1
-    for j in range(1, n + 1):
-        if j > chunk * k:
-            per_chunk.append(chunk_acc)
-            chunk_acc = Fraction(0)
-            chunk += 1
-        refresh = Fraction(chunk, w)
-        total_pre += m + refresh
-        total_base += m + 2 * refresh
-        chunk_acc += m + refresh
-        if trace is not None:
-            trace.append(("Search", Fraction(m)))
-            trace.append(("Update", refresh))
-            if not prefetch:
-                trace.append(("Insert", refresh))
-    per_chunk.append(chunk_acc)
-    if trace is not None:
-        trace.append(("Finish", Fraction(0)))
-    cycles = ceil(total_pre)
-    return CostReport(
-        n=n,
-        cycles_prefetch=cycles,
-        cycles_baseline=ceil(total_base),
-        wall_time_s=cycles / params.clock_hz,
-        per_chunk=per_chunk,
-        trace=trace,
     )
 
 

@@ -13,6 +13,10 @@ class InvalidCharacter(SaiiError):
         self.char = char
         super().__init__(f"invalid character {char!r} at position {position}")
 
+    def __reduce__(self):
+        # rebuild from the fields, so the error survives a worker process
+        return type(self), (self.position, self.char)
+
 
 class EmptyText(SaiiError):
     """An operation that requires a non-empty sequence received an empty one."""

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import pytest
@@ -25,6 +26,13 @@ def test_invalid_character_position():
         encode_text("ACGN")
     assert err.value.position == 3
     assert err.value.char == "N"
+
+
+def test_invalid_character_pickles():
+    # worker processes of a multi-record build send it back pickled
+    err = pickle.loads(pickle.dumps(InvalidCharacter(3, "N")))
+    assert (err.position, err.char) == (3, "N")
+    assert str(err) == "invalid character 'N' at position 3"
 
 
 def test_substitution_mode_maps_to_a():

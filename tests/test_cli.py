@@ -84,6 +84,16 @@ def test_build_invalid_character_exit_code(tmp_path, capsys):
     assert main(["build", str(src), "--substitute", "-o", str(tmp_path / "ok.saii")]) == 0
 
 
+def test_build_parallel_invalid_character_exit_code(tmp_path, capsys):
+    # the error crosses back from a worker process
+    src = tmp_path / "bad.fa"
+    src.write_text(">a\nACGTACGT\n>b\nNNNN\n")
+    assert main(["build", str(src), "-o", str(tmp_path / "m.idx"), "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: invalid character 'N'")
+    assert "Traceback" not in err
+
+
 def test_build_strict_capacity_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(construct, "HARDWARE_MAX_LEN", 8)
     src = tmp_path / "long.txt"
@@ -135,16 +145,30 @@ def test_verify_exhaustive_small(capsys):
     assert "84/84 passed" in out
 
 
+def test_verify_golden_output(capsys):
+    assert main(["verify", "--trials", "5", "--max-len", "16", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "# seed 3\n"
+        "trial 0: len=13 PASS\n"
+        "trial 1: len=13 PASS\n"
+        "trial 2: len=6 PASS\n"
+        "trial 3: len=8 PASS\n"
+        "trial 4: len=12 PASS\n"
+        "5/5 passed (k=4, seed=3)\n"
+    )
+
+
 def test_verify_injected_fault_detected(capsys, monkeypatch):
-    flush = construct.prefetch_flush
+    as_index = construct.SaiiState.as_index
 
-    def corrupting_flush(state):
+    def corrupting_as_index(state, prefetch_built=False):
         # a build fault: one BWT symbol off after the prefetch schedule
-        flush(state)
-        pos = 0 if state.bwt.dollar_pos != 0 else 1
-        state.bwt.data.set(pos, state.bwt.code_at(pos) ^ 1)
+        if prefetch_built:
+            pos = 0 if state.bwt.dollar_pos != 0 else 1
+            state.bwt.data.set(pos, state.bwt.code_at(pos) ^ 1)
+        return as_index(state, prefetch_built)
 
-    monkeypatch.setattr(construct, "prefetch_flush", corrupting_flush)
+    monkeypatch.setattr(construct.SaiiState, "as_index", corrupting_as_index)
     assert main(["verify", "--trials", "2", "--max-len", "12", "--seed", "5"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "field=bwt" in out

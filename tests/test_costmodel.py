@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from saii.alphabet import PackedSequence, encode_text
-from saii.costmodel import CostReport, HardwareParams, emit_scaling_table, predict_cycles, simulate_fsm
+from saii.costmodel import HardwareParams, emit_scaling_table, predict_cycles
 from saii.errors import InvalidParams
 
 DEFAULTS = HardwareParams()
@@ -83,36 +82,18 @@ def test_invalid_params():
         emit_scaling_table(DEFAULTS, [])
 
 
-def test_simulate_two_character_trace():
-    text = encode_text("AC")
-    report = simulate_fsm(DEFAULTS, text, prefetch=True, collect_trace=True)
-    assert [s for s, _ in report.trace] == [
-        "Initial", "Search", "Update", "Search", "Update", "Finish",
-    ]
-    no_pre = simulate_fsm(DEFAULTS, text, prefetch=False, collect_trace=True)
-    assert [s for s, _ in no_pre.trace] == [
-        "Initial", "Search", "Update", "Insert", "Search", "Update", "Insert", "Finish",
-    ]
-
-
-def test_simulate_matches_prediction():
-    text = PackedSequence.from_codes([0] * 4096)
-    sim = simulate_fsm(DEFAULTS, text)
-    model = predict_cycles(DEFAULTS, 4096)
-    assert sim.cycles_prefetch == model.cycles_prefetch == 15_360
-    assert sim.cycles_baseline == model.cycles_baseline
-    assert sum(sim.per_chunk) == sum(model.per_chunk)
-    # also off the chunk grid
-    odd = PackedSequence.from_codes([1] * 777)
+def test_prediction_pinned_values():
+    report = predict_cycles(DEFAULTS, 4096)
+    assert report.cycles_prefetch == 15_360
+    assert report.cycles_baseline == 4096 * 3 + 2048 * 1 + 2048 * 2 == 18_432
+    # off the chunk grid, against a per-iteration sum
     params = HardwareParams(k=256)
-    assert simulate_fsm(params, odd).cycles_prefetch == predict_cycles(params, 777).cycles_prefetch
-
-
-def test_trace_cycles_sum_to_total():
-    text = PackedSequence.from_codes([2] * 100)
-    params = HardwareParams(k=16)
-    report = simulate_fsm(params, text, collect_trace=True)
-    assert sum(c for _, c in report.trace) == sum(report.per_chunk)
+    report = predict_cycles(params, 777)
+    pre = sum(3 + Fraction(j // 256 + 1, 2) for j in range(777))
+    base = sum(3 + Fraction(2 * (j // 256 + 1), 2) for j in range(777))
+    assert sum(report.per_chunk) == pre
+    assert report.cycles_prefetch == -(-pre // 1)
+    assert report.cycles_baseline == -(-base // 1)
 
 
 def test_scaling_table_format():

@@ -70,12 +70,12 @@ def test_rebuild_appends_checkpoint_at_boundary():
     bwt = make_bwt(encode_text("ACG"))  # length 4 = k exactly
     table = SampledOccTable.build(bwt, k)
     assert table.num_checkpoints == 2
-    bwt.insert_symbol(0, 2)
+    bwt.data.insert(0, 2)
     table.rebuild_from(bwt, 0)
     assert table.num_checkpoints == 2  # 5 // 4 + 1
-    bwt.insert_symbol(0, 1)
-    bwt.insert_symbol(0, 1)
-    bwt.insert_symbol(0, 1)
+    bwt.data.insert(0, 1)
+    bwt.data.insert(0, 1)
+    bwt.data.insert(0, 1)
     table.rebuild_from(bwt, 0)
     assert table.num_checkpoints == 3
 
@@ -100,7 +100,7 @@ def test_apply_insert_matches_rebuild(length):
         for code in range(4):
             bwt = make_bwt(text)
             table = SampledOccTable.build(bwt, k)
-            bwt.insert_symbol(pos, code)
+            bwt.data.insert(pos, code)
             table.apply_insert(bwt, pos, code)
             assert table == SampledOccTable.build(bwt, k), (pos, code)
 
