@@ -2,8 +2,8 @@
 
 The index of a text is grown right to left using only the index built
 so far, with no working memory beyond the index itself.  The package
-also ships the query side (counting, backward search, bracket lookups),
-a brute-force oracle used as ground truth, a cycle cost model of the
+also ships the query side (counting and backward search), a
+brute-force oracle used as ground truth, a cycle cost model of the
 reference hardware, and a small CLI (`saii build | count | verify |
 bench`).
 """
@@ -18,7 +18,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidCharacter,
     InvalidParams,
-    MissingSuffixArray,
     SaiiError,
 )
 from .fmindex import (
@@ -26,11 +25,9 @@ from .fmindex import (
     FmIndex,
     SearchRange,
     backward_extend,
-    bracket,
     build_c_array,
     count,
     first_mismatch,
-    locate,
     occ_query,
     search,
 )
@@ -53,14 +50,12 @@ __all__ = [
     "IndexOutOfRange",
     "InvalidCharacter",
     "InvalidParams",
-    "MissingSuffixArray",
     "PackedSequence",
     "SaiiError",
     "SaiiState",
     "SampledOccTable",
     "SearchRange",
     "backward_extend",
-    "bracket",
     "build",
     "build_c_array",
     "count",
@@ -72,7 +67,6 @@ __all__ = [
     "first_mismatch",
     "load_index",
     "loads_index",
-    "locate",
     "occ_query",
     "predict_cycles",
     "search",

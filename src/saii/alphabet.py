@@ -64,12 +64,6 @@ class PackedSequence:
             return NotImplemented
         return self.length == other.length and self.data == other.data
 
-    def __hash__(self) -> int:
-        return hash((self.data, self.length))
-
-    def __lt__(self, other: "PackedSequence") -> bool:
-        return self.codes() < other.codes()
-
     def __repr__(self) -> str:
         shown = decode(self) if self.length <= 32 else decode(self)[:29] + "..."
         return f"PackedSequence({shown!r})"

@@ -17,8 +17,8 @@ from .packedbuf import PackedBuffer
 class Bwt:
     __slots__ = ("data", "dollar_pos")
 
-    def __init__(self, data: PackedBuffer | None = None, dollar_pos: int | None = None, reserve: int = 0):
-        self.data = data if data is not None else PackedBuffer(reserve=reserve)
+    def __init__(self, data: PackedBuffer, dollar_pos: int | None):
+        self.data = data
         self.dollar_pos = dollar_pos
 
     @classmethod

@@ -13,40 +13,46 @@ import numpy as np
 
 from . import construct, oracle
 from .alphabet import PackedSequence, decode, encode_text
-from .costmodel import HardwareParams, emit_scaling_table, predict_cycles
+from .costmodel import HardwareParams, emit_scaling_table
 from .errors import InvalidParams, SaiiError
 from .fasta import read_sequences
 from .fmindex import first_mismatch, search
-from .serialize import dump_index, load_index
+from .serialize import dumps_index, load_index
 from .textgen import random_sequence
 
 
 def _build_record(job):
-    ordinal, sequence, k, schedule, strict, substitute, path = job
-    text = encode_text(sequence, substitute=substitute)
-    index = construct.build(text, k=k, schedule=schedule, strict_capacity=strict)
-    dump_index(index, path)
-    return ordinal, path, index.n
+    ordinal, where, sequence, k, schedule, strict, substitute = job
+    try:
+        text = encode_text(sequence, substitute=substitute)
+        index = construct.build(text, k=k, schedule=schedule, strict_capacity=strict)
+    except SaiiError as err:
+        if where is None:
+            raise
+        raise SaiiError(f"{err} in {where}") from None
+    return ordinal, dumps_index(index), index.n
 
 
 def cmd_build(args) -> int:
+    """Build every record before writing any file, so a failing record
+    leaves nothing behind."""
     records = read_sequences(args.input)
     out = args.out if args.out else args.input + ".saii"
-    if len(records) == 1:
-        paths = [out]
-    else:
-        paths = [f"{out}.{i}.saii" for i in range(1, len(records) + 1)]
+    many = len(records) > 1
     jobs = [
-        (i + 1, rec.sequence, args.k, args.schedule, args.strict_capacity, args.substitute, path)
-        for i, (rec, path) in enumerate(zip(records, paths))
+        (i, f"record {i} ({rec.id})" if many else None, rec.sequence, args.k, args.schedule, args.strict_capacity, args.substitute)
+        for i, rec in enumerate(records, start=1)
     ]
     workers = args.jobs if args.jobs else os.cpu_count() or 1
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and many:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_build_record, jobs))
     else:
         results = [_build_record(job) for job in jobs]
-    for ordinal, path, n in sorted(results):
+    for ordinal, blob, n in results:
+        path = f"{out}.{ordinal}.saii" if many else out
+        with open(path, "wb") as fh:
+            fh.write(blob)
         label = records[ordinal - 1].id or f"record {ordinal}"
         print(f"wrote {path} ({label}: n={n}, k={args.k}, schedule={args.schedule})")
     return 0
@@ -148,13 +154,10 @@ def cmd_bench(args) -> int:
         for n in lengths:
             print(f"{n},{measured[n]:.6f}")
         return 0
-    print("n,cycles_prefetch,cycles_baseline,wall_ms,build_s")
-    for n in lengths:
-        report = predict_cycles(params, n)
-        print(
-            f"{n},{report.cycles_prefetch},{report.cycles_baseline},"
-            f"{report.wall_time_ms:.3f},{measured[n]:.6f}"
-        )
+    header, *rows = emit_scaling_table(params, lengths).splitlines()
+    print(f"{header},build_s")
+    for n, row in zip(lengths, rows):
+        print(f"{row},{measured[n]:.6f}")
     return 0
 
 

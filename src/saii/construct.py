@@ -28,9 +28,9 @@ the 2i/w against i/w Update charge of `saii.costmodel`.  A row is
 tallied from the buffer only when the text completes a block.
 
 Construction allocates nothing proportional to the text beyond the
-index itself: the BWT buffer and checkpoint rows are reserved up front,
-edits run in place, and symbols are read from the packed text one at
-a time.
+index itself: like the hardware's memory, the BWT buffer and checkpoint
+rows are sized once, for the whole text, before the first step; edits
+run in place, and symbols are read from the packed text one at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .bwt import Bwt
 from .errors import CapacityExceeded, EmptyText
 from .fmindex import CArray, FmIndex
 from .occtable import SampledOccTable, occ_count
+from .packedbuf import PackedBuffer
 
 DEFAULT_K = 2048
 HARDWARE_MAX_LEN = 131_072  # BRAM budget of the reference hardware
@@ -63,15 +64,15 @@ class SaiiState:
         self.q = 0
 
     def as_index(self, prefetch_built: bool = False) -> FmIndex:
-        return FmIndex(bwt=self.bwt, c=self.c, occ=self.occ, sa=None, prefetch_built=prefetch_built)
+        return FmIndex(bwt=self.bwt, c=self.c, occ=self.occ, prefetch_built=prefetch_built)
 
 
-def init_state(k: int = DEFAULT_K, *, reserve: int = 0) -> SaiiState:
-    """Index of the empty text: BWT is the sentinel alone, row 0."""
-    bwt = Bwt(reserve=max(reserve, 1))
-    bwt.data.append(0)  # sentinel slot, stored as code A
-    bwt.dollar_pos = 0
-    occ = SampledOccTable(k, reserve_len=max(reserve, 1))
+def init_state(k: int, capacity: int) -> SaiiState:
+    """Index of the empty text, with room for a BWT of `capacity`
+    symbols: the BWT is the sentinel alone, at row 0.  The buffer starts
+    zeroed, so the sentinel slot already stores code A."""
+    bwt = Bwt(PackedBuffer(bytearray((capacity + 3) >> 2), 1), 0)
+    occ = SampledOccTable(k, capacity)
     occ.rebuild_from(bwt, 0)
     return SaiiState(bwt, CArray(), occ)
 
@@ -140,7 +141,7 @@ def build(
         raise CapacityExceeded(
             f"text of {text.length} symbols exceeds the hardware bound of {HARDWARE_MAX_LEN}"
         )
-    state = init_state(k, reserve=text.length + 1)
+    state = init_state(k, text.length + 1)
     advance = step if schedule == "standard" else prefetch_step
     for i in range(text.length - 1, -1, -1):
         advance(state, text.code_at(i))

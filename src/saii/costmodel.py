@@ -3,7 +3,7 @@
 Per iteration the controller spends m cycles in Search plus a memory
 refresh whose cost grows with the amount of index built so far: every
 iteration inside chunk i (the i-th group of k iterations) charges
-i / words_per_cycle refresh cycles with the merged update of the
+i / WORDS_PER_CYCLE refresh cycles with the merged update of the
 prefetch design, twice that without it.  Totals are kept as exact
 rationals and rounded up only at the end.
 
@@ -19,16 +19,17 @@ from math import ceil
 
 from .errors import InvalidParams
 
+WORDS_PER_CYCLE = 2  # refresh width of the hardware: the paper's i/2 term
+
 
 @dataclass(frozen=True)
 class HardwareParams:
     m: int = 3  # search cycles per iteration
     k: int = 2048  # occurrence-table sampling rate
-    words_per_cycle: int = 2  # refresh width factor; 2 gives the i/2 term
     clock_hz: int = 120_000_000
 
     def validate(self) -> None:
-        if self.m < 1 or self.k < 1 or self.words_per_cycle < 1 or self.clock_hz <= 0:
+        if self.m < 1 or self.k < 1 or self.clock_hz <= 0:
             raise InvalidParams(f"bad hardware parameters: {self}")
 
 
@@ -52,7 +53,7 @@ def _chunk_costs(params: HardwareParams, n: int):
     divide n), each charging m + i/w refresh with prefetch and m + 2i/w
     without.
     """
-    m, k, w = params.m, params.k, params.words_per_cycle
+    m, k, w = params.m, params.k, WORDS_PER_CYCLE
     full, rem = divmod(n, k)
     prefetch, baseline = [], []
     for i in range(1, full + 1):

@@ -26,10 +26,6 @@ class IndexOutOfRange(SaiiError):
     """An occurrence query addressed a position outside [-1, n)."""
 
 
-class MissingSuffixArray(SaiiError):
-    """The operation needs a suffix array but the index does not carry one."""
-
-
 class CapacityExceeded(SaiiError):
     """Strict-capacity mode: the configured maximum text length was exceeded."""
 

@@ -1,11 +1,13 @@
-"""FM-index data model and query side: C array, occurrence queries,
-backward search, and the bracket semantics for missing queries.
+"""FM-index data model and query side: C array, occurrence queries and
+backward search.  An index holds only what counting needs; locating
+would need suffix-array samples, which no index carries.
 
 The search interval convention: a query occurs in the text iff
 low <= high, and the occurrence count is high - low + 1.  When a query
 is absent, `low` still carries information: it is the number of text
 suffixes lexically smaller than the query, so the suffixes at rows
-low - 1 and low bracket it.
+low - 1 and low bracket it (low == 0: it precedes all; low == n: it
+follows all).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .alphabet import PackedSequence
 from .bwt import Bwt
-from .errors import EmptyText, IndexOutOfRange, MissingSuffixArray
+from .errors import EmptyText, IndexOutOfRange
 from .occtable import SampledOccTable, occ_count
 
 
@@ -61,10 +63,6 @@ class SearchRange:
     high: int
 
     @property
-    def is_substring(self) -> bool:
-        return self.low <= self.high
-
-    @property
     def count(self) -> int:
         return self.high - self.low + 1 if self.low <= self.high else 0
 
@@ -73,15 +71,14 @@ class SearchRange:
 class FmIndex:
     """Aggregate of BWT, C array and sampled occurrence table.
 
-    `sa` is present only on oracle-built indexes; incrementally built
-    ones support counting but not locating.  The length `n` (sentinel
-    included) and sampling rate `k` are read from the BWT and the table.
+    The length `n` (sentinel included) and sampling rate `k` are read
+    from the BWT and the table.  `prefetch_built` records the schedule
+    that built the index and takes no part in comparisons.
     """
 
     bwt: Bwt
     c: CArray
     occ: SampledOccTable
-    sa: list | None = None
     prefetch_built: bool = field(default=False, compare=False)
 
     @property
@@ -131,31 +128,11 @@ def count(index: FmIndex, query: PackedSequence) -> int:
     return search(index, query).count
 
 
-def bracket(index: FmIndex, query: PackedSequence) -> tuple:
-    """(low, is_substring): when absent, suffixes at sa[low-1] and sa[low]
-    lexically bracket the query (low == 0: precedes all; low == n: follows all).
-    """
-    if index.sa is None:
-        raise MissingSuffixArray("bracket needs an index built with a suffix array")
-    rng = search(index, query)
-    return rng.low, rng.is_substring
-
-
-def locate(index: FmIndex, query: PackedSequence) -> list:
-    """Sorted text positions of every occurrence (suffix-array indexes only)."""
-    if index.sa is None:
-        raise MissingSuffixArray("locate needs an index built with a suffix array")
-    rng = search(index, query)
-    if not rng.is_substring:
-        return []
-    return sorted(index.sa[rng.low : rng.high + 1])
-
-
 def first_mismatch(a: FmIndex, b: FmIndex) -> str | None:
     """Name of the first differing index field, or None when equivalent.
 
-    The suffix array and schedule flag are intentionally not compared:
-    they describe how an index was built, not what it indexes.
+    The schedule flag is intentionally not compared: it describes how
+    an index was built, not what it indexes.
     """
     if a.n != b.n:
         return "n"

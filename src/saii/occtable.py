@@ -15,7 +15,8 @@ now sits at j*k.  Both are applied as one vectorized update of those
 rows, O(n / k) work per edit with no symbol scan, which is what the
 hardware's Update state does and what `saii.costmodel` charges (i/w
 cycles per iteration for the merged prefetch update, 2i/w without).
-Only when the text completes a block is one new row tallied.
+Only when the text completes a block is one new row tallied.  The rows
+are allocated once, for the BWT length the table is made with.
 """
 
 from __future__ import annotations
@@ -39,18 +40,16 @@ for _new in range(4):
 class SampledOccTable:
     __slots__ = ("k", "_cp", "_bound_slots", "num_checkpoints")
 
-    def __init__(self, k: int, reserve_len: int = 0):
+    def __init__(self, k: int, capacity: int):
+        """No live rows past row 0 yet, and storage for a BWT of up to
+        `capacity` symbols."""
         if k < 1:
             raise InvalidSamplingRate(f"sampling rate must be >= 1, got {k}")
         self.k = k
-        self._set_rows(np.zeros((reserve_len // k + 1, 4), dtype=np.int64))
+        self._cp = np.zeros((capacity // k + 1, 4), dtype=np.int64)
+        # packed slot of each boundary j*k, read by the insertion delta
+        self._bound_slots = slots(np.arange(len(self._cp), dtype=np.int64) * k)
         self.num_checkpoints = 1
-
-    def _set_rows(self, cp) -> None:
-        """Adopt `cp` as row storage and precompute the packed slot of
-        each boundary j*k, read by the insertion delta."""
-        self._cp = cp
-        self._bound_slots = slots(np.arange(len(cp), dtype=np.int64) * self.k)
 
     def checkpoints(self):
         """(num_checkpoints, 4) view of the live rows; row j holds the raw
@@ -61,16 +60,10 @@ class SampledOccTable:
         """Recompute checkpoints from `from_block` onward against `bwt`.
 
         Blocks before `from_block` must already agree with the buffer;
-        they are not touched.  Handles growth when the BWT has crossed
-        a k boundary since the last rebuild.
+        they are not touched.
         """
         k = self.k
-        n = bwt.data.length
-        total = n // k + 1
-        if total > len(self._cp):
-            grown = np.zeros((max(total, 2 * len(self._cp)), 4), dtype=np.int64)
-            grown[: self.num_checkpoints] = self._cp[: self.num_checkpoints]
-            self._set_rows(grown)
+        total = bwt.data.length // k + 1
         cp = self._cp
         if from_block == 0:
             cp[0] = 0
@@ -104,18 +97,8 @@ class SampledOccTable:
             self.rebuild_from(bwt, hi)
 
     @classmethod
-    def from_rows(cls, k: int, rows) -> "SampledOccTable":
-        """Table whose checkpoints are the (m, 4) int64 array `rows`."""
-        table = cls(k)
-        table._set_rows(rows)
-        table.num_checkpoints = len(rows)
-        return table
-
-    @classmethod
     def build(cls, bwt: Bwt, k: int) -> "SampledOccTable":
-        table = cls(k, reserve_len=bwt.data.length)
-        table.rebuild_from(bwt, 0)
-        return table
+        return cls(k, bwt.data.length).rebuild_from(bwt, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampledOccTable):

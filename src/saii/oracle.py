@@ -57,16 +57,10 @@ def full_occ_table(bwt: Bwt) -> np.ndarray:
 
 
 def full_index(text: PackedSequence, k: int = 2048) -> FmIndex:
-    """Reference FM-index with suffix array; occ materialized at any k
-    (k = 1 gives a checkpoint per position)."""
-    sa = suffix_array(text)
-    bwt = bwt_from_suffix_array(text, sa)
-    return FmIndex(
-        bwt=bwt,
-        c=build_c_array(text),
-        occ=SampledOccTable.build(bwt, k),
-        sa=sa,
-    )
+    """Reference FM-index, its BWT read off the suffix array; occ
+    materialized at any k (k = 1 gives a checkpoint per position)."""
+    bwt = bwt_from_suffix_array(text, suffix_array(text))
+    return FmIndex(bwt=bwt, c=build_c_array(text), occ=SampledOccTable.build(bwt, k))
 
 
 def invert_bwt(bwt: Bwt) -> PackedSequence:

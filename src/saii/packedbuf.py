@@ -29,14 +29,14 @@ _SHIFT_CHUNK = 4096  # bytes per vector shift step; bounds scratch usage
 
 
 class PackedBuffer:
-    """Growable sequence of 2-bit codes supporting insertion at any position."""
+    """Fixed-capacity sequence of 2-bit codes, insertable at any position."""
 
     __slots__ = ("_buf", "_np", "_s1", "_s2", "length")
 
-    def __init__(self, data: bytes = b"", length: int = 0, *, reserve: int = 0):
-        """Buffer of `length` codes packed in `data`, with room for `reserve`."""
-        self._buf = bytearray(max(len(data), (reserve + 3) >> 2))
-        self._buf[: len(data)] = data
+    def __init__(self, data: bytearray, length: int):
+        """Buffer of `length` codes packed in `data`, which it takes over;
+        trailing zero bytes are room to insert into."""
+        self._buf = data
         self._np = None
         self._s1 = None
         self._s2 = None
@@ -57,31 +57,17 @@ class PackedBuffer:
         shift = (i & 3) << 1
         self._buf[b] = (self._buf[b] & ~(3 << shift) & 0xFF) | (code << shift)
 
-    def append(self, code: int) -> None:
-        self.reserve(self.length + 1)
-        self.set(self.length, code)
-        self.length += 1
-
-    def reserve(self, symbols: int) -> None:
-        """Make room for at least `symbols` codes, reallocating if needed."""
-        need = (symbols + 3) >> 2
-        if need <= len(self._buf):
-            return
-        grown = bytearray(max(need, 2 * len(self._buf), 16))
-        grown[: len(self._buf)] = self._buf
-        self._buf = grown
-        self._np = None  # old view points at the abandoned bytearray
-        self._s1 = self._s2 = None  # sized for the old buffer
-
     def _view(self):
         if self._np is None:
             self._np = np.frombuffer(self._buf, dtype=np.uint8)
         return self._np
 
     def insert(self, pos: int, code: int) -> None:
-        """Insert `code` at symbol position `pos`, shifting the tail up."""
+        """Insert `code` at symbol position `pos`, shifting the tail up;
+        IndexError when the buffer is full."""
         n = self.length
-        self.reserve(n + 1)
+        if n >= len(self._buf) << 2:
+            raise IndexError(f"insert into a full buffer of {n} codes")
         first = pos >> 2
         hi = (n + 4) >> 2  # bytes occupied once length becomes n + 1
         if n - pos >= _INSERT_VECTOR_MIN:

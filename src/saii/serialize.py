@@ -16,9 +16,10 @@ Little-endian throughout:
 The CRC is verified before anything is parsed, so any single corrupted
 byte fails the load.  A file with a valid CRC must also be one that a
 build could have written: the sentinel slot reads as A, the padding bits
-are zero, and C and every checkpoint row agree with the BWT.
-Serialization is canonical: load followed by dump reproduces the input
-byte for byte.
+are zero, and C and every checkpoint row agree with the BWT.  The load
+tallies the one checkpoint table the index keeps from the BWT and
+requires the file's rows to match it byte for byte.  Serialization is
+canonical: load followed by dump reproduces the input byte for byte.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from __future__ import annotations
 import struct
 import zlib
 from itertools import accumulate
-
-import numpy as np
 
 from .alphabet import A
 from .bwt import Bwt
@@ -43,7 +42,7 @@ _FLAG_PREFETCH = 1
 
 
 def dumps_index(index: FmIndex) -> bytes:
-    """Serialize an index to bytes (the suffix array is never stored)."""
+    """Serialize an index to bytes."""
     n, k = index.n, index.k
     flags = _FLAG_PREFETCH if index.prefetch_built else 0
     header = _HEADER.pack(MAGIC, VERSION, flags, n, k, index.bwt.dollar_pos, *index.c.counts)
@@ -66,41 +65,32 @@ def loads_index(blob: bytes) -> FmIndex:
         raise IndexFormatError(f"unsupported format version {version}")
     if n < 1 or k < 1 or not dollar < n:
         raise IndexFormatError("inconsistent header fields")
-    payload_len = (n + 3) >> 2
-    rows = n // k + 1
-    expected = _HEADER.size + payload_len + rows * 32
+    rows_at = _HEADER.size + ((n + 3) >> 2)
+    expected = rows_at + (n // k + 1) * 32
     if len(body) != expected:
         raise IndexFormatError(f"file holds {len(body)} bytes, expected {expected}")
-    checkpoints = (
-        np.frombuffer(body, dtype="<u8", count=rows * 4, offset=_HEADER.size + payload_len)
-        .reshape(rows, 4)
-        .astype(np.int64)
-    )
-    index = FmIndex(
-        bwt=Bwt(PackedBuffer(body[_HEADER.size : _HEADER.size + payload_len], n), dollar),
-        c=CArray([c0, c1, c2, c3]),
-        occ=SampledOccTable.from_rows(k, checkpoints),
-        sa=None,
-        prefetch_built=bool(flags & _FLAG_PREFETCH),
-    )
-    _check_consistent(index)
-    return index
+    bwt = Bwt(PackedBuffer(bytearray(body[_HEADER.size : rows_at]), n), dollar)
+    c = CArray([c0, c1, c2, c3])
+    occ = _check_consistent(bwt, c, k, body[rows_at:])
+    return FmIndex(bwt=bwt, c=c, occ=occ, prefetch_built=bool(flags & _FLAG_PREFETCH))
 
 
-def _check_consistent(index: FmIndex) -> None:
-    """Raise IndexFormatError unless the fields agree with the BWT."""
-    bwt = index.bwt
+def _check_consistent(bwt: Bwt, c: CArray, k: int, rows: bytes) -> SampledOccTable:
+    """The occurrence table of `bwt`; IndexFormatError unless the file's
+    checkpoint `rows` and `c` agree with the BWT."""
     n = bwt.data.length
     if bwt.code_at(bwt.dollar_pos) != A:
         raise IndexFormatError("sentinel slot does not read as A")
     if any(bwt.data.count_range(n, (n + 3) & ~3)[1:]):
         raise IndexFormatError("padding bits past the last symbol are set")
-    if SampledOccTable.build(bwt, index.k) != index.occ:
+    occ = SampledOccTable.build(bwt, k)
+    if occ.checkpoints().astype("<u8").tobytes() != rows:
         raise IndexFormatError("occurrence checkpoints disagree with the BWT")
     tally = bwt.data.count_range(0, n)
     tally[A] -= 1  # sentinel slot is not a text A
-    if index.c.counts != list(accumulate(tally[:3], initial=0)):
+    if c.counts != list(accumulate(tally[:3], initial=0)):
         raise IndexFormatError("C array disagrees with the BWT")
+    return occ
 
 
 def dump_index(index: FmIndex, path) -> None:

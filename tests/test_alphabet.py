@@ -66,7 +66,7 @@ def test_roundtrip(s):
 
 @given(acgt, acgt)
 def test_order_preserved(s, t):
-    assert (s < t) == (encode_text(s) < encode_text(t))
+    assert (s < t) == (encode_text(s).codes() < encode_text(t).codes())
 
 
 def test_encode_text_streams():

@@ -9,6 +9,7 @@ import saii
 from saii import construct, oracle
 from saii.alphabet import encode_text
 from saii.cli import main
+from saii.costmodel import HardwareParams, emit_scaling_table
 from saii.fasta import FastaFormatError, parse_fasta, read_sequences
 from saii.fmindex import first_mismatch
 from saii.serialize import load_index
@@ -92,6 +93,16 @@ def test_build_parallel_invalid_character_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: invalid character 'N'")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_build_failing_record_writes_nothing(tmp_path, capsys, jobs):
+    src = tmp_path / "bad.fa"
+    src.write_text(">a\nACGTACGT\n>b\nNNNN\n")
+    assert main(["build", str(src), "-o", str(tmp_path / "m.idx"), "--jobs", jobs]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "error: invalid character 'N' at position 0 in record 2 (b)"
+    assert not list(tmp_path.glob("*.saii"))
 
 
 def test_build_strict_capacity_exit_code(tmp_path, capsys, monkeypatch):
@@ -194,6 +205,9 @@ def test_bench_measure_smoke(capsys):
     assert lines[0] == "n,cycles_prefetch,cycles_baseline,wall_ms,build_s"
     assert len(lines) == 3
     assert float(lines[1].rsplit(",", 1)[1]) > 0
+    # the model columns are the model table's own lines
+    table = emit_scaling_table(HardwareParams(), [128, 256]).splitlines()
+    assert [line.rsplit(",", 1)[0] for line in lines] == table
 
 
 def test_bench_bad_params(capsys):

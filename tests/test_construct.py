@@ -18,7 +18,7 @@ def random_text(rng, max_len, min_len=1):
 
 
 def test_init_state():
-    state = construct.init_state(k=4)
+    state = construct.init_state(4, 1)
     assert state.bwt.decode_with_sentinel() == "$"
     assert state.q == 0
     assert state.c.counts == [0, 0, 0, 0]
@@ -28,7 +28,7 @@ def test_init_state():
 
 def test_single_step_counts():
     for code in range(4):
-        state = construct.init_state(k=4)
+        state = construct.init_state(4, 2)
         construct.step(state, code)
         assert state.bwt.data.length == 2
         raw = state.bwt.data.count_range(0, 2)
@@ -52,7 +52,7 @@ def test_build_acgct_stepwise_matches_oracle_suffixes():
     # target ACGCT: every intermediate state must index the current suffix
     text = encode_text("ACGCT")
     codes = text.codes()
-    state = construct.init_state(k=2)
+    state = construct.init_state(2, len(codes) + 1)
     for i in range(len(codes) - 1, -1, -1):
         construct.step(state, codes[i])
         expected = oracle.full_index(text.suffix(i), k=2)
@@ -65,7 +65,7 @@ def test_incremental_states_match_oracle_random():
     for _ in range(60):
         text = random_text(rng, 48)
         codes = text.codes()
-        state = construct.init_state(k=4)
+        state = construct.init_state(4, len(codes) + 1)
         for i in range(len(codes) - 1, -1, -1):
             construct.step(state, codes[i])
             expected = oracle.full_index(text.suffix(i), k=4)
@@ -78,7 +78,7 @@ def test_extended_suffix_occurs_once():
     for _ in range(20):
         text = random_text(rng, 24)
         codes = text.codes()
-        state = construct.init_state(k=1)
+        state = construct.init_state(1, len(codes) + 1)
         for i in range(len(codes) - 1, -1, -1):
             construct.step(state, codes[i])
             rng_ = search(state.as_index(), text.suffix(i))
@@ -99,8 +99,8 @@ def test_prefetch_q_sequence_and_final_state():
     for _ in range(200):
         text = random_text(rng, 64)
         codes = text.codes()
-        std = construct.init_state(k=4)
-        pre = construct.init_state(k=4)
+        std = construct.init_state(4, len(codes) + 1)
+        pre = construct.init_state(4, len(codes) + 1)
         q_std, q_pre = [], []
         for i in range(len(codes) - 1, -1, -1):
             q_std.append(construct.step(std, codes[i]))
@@ -114,7 +114,7 @@ def test_prefetch_q_sequence_and_final_state():
 def test_prefetch_intermediate_states_lag_by_one():
     text = encode_text("ACGCT")
     codes = text.codes()
-    pre = construct.init_state(k=4)
+    pre = construct.init_state(4, len(codes) + 1)
     for i in range(len(codes) - 1, -1, -1):
         q = construct.prefetch_step(pre, codes[i])
         # physical buffer is one short: the sentinel is pending at row q
@@ -169,16 +169,13 @@ def test_build_strict_capacity_bound():
 @given(
     st.lists(st.integers(0, 3), min_size=1, max_size=150),
     st.sampled_from([1, 2, 3, 4, 7, 64]),
-    st.booleans(),
 )
-@example([(i * i + 3 * i + i // 5) % 4 for i in range(150)], 7, False)
-@example([(i * i + 3 * i + i // 5) % 4 for i in range(150)], 64, True)
-def test_delta_checkpoints_match_rebuild_after_every_edit(codes, k, reserved):
-    # k = 64 covers both k > n and texts crossing a few boundaries;
-    # without a reservation the rows also grow during the build
-    reserve = len(codes) + 1 if reserved else 0
-    std = construct.init_state(k, reserve=reserve)
-    pre = construct.init_state(k, reserve=reserve)
+@example([(i * i + 3 * i + i // 5) % 4 for i in range(150)], 7)
+@example([(i * i + 3 * i + i // 5) % 4 for i in range(150)], 64)
+def test_delta_checkpoints_match_rebuild_after_every_edit(codes, k):
+    # k = 64 covers both k > n and texts crossing a few boundaries
+    std = construct.init_state(k, len(codes) + 1)
+    pre = construct.init_state(k, len(codes) + 1)
     for code in reversed(codes):
         construct.step(std, code)
         assert std.occ == SampledOccTable.build(std.bwt, k)

@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from saii import oracle
 from saii.alphabet import PackedSequence, decode, encode_text
-from saii.errors import EmptyText, IndexOutOfRange, MissingSuffixArray
+from saii.errors import EmptyText, IndexOutOfRange
 from saii.fmindex import (
     SearchRange,
     backward_extend,
-    bracket,
     build_c_array,
     count,
     first_mismatch,
     initial_range,
-    locate,
     occ_query,
     search,
 )
@@ -85,33 +83,17 @@ def test_search_empty_query_rejected():
 
 
 def test_bracket_examples():
+    # a missed query's `low` counts the suffixes lexically below it
     index = oracle.full_index(encode_text("ACGCTTG"), k=4)
-    low, hit = bracket(index, encode_text("CA"))
-    assert not hit
+    rng = search(index, encode_text("CA"))
+    assert rng.count == 0
     sufs = oracle.sorted_suffixes(encode_text("ACGCTTG"))
-    assert sufs[low - 1] == "ACGCTTG$"
-    assert sufs[low] == "CGCTTG$"
-    low, hit = bracket(index, encode_text("TTT"))
-    assert not hit and low == index.n
-    assert sufs[low - 1] == "TTG$"
-    _, hit = bracket(index, encode_text("CT"))
-    assert hit
-
-
-def test_bracket_needs_suffix_array():
-    index = oracle.full_index(encode_text("ACGT"), k=4)
-    index.sa = None
-    with pytest.raises(MissingSuffixArray):
-        bracket(index, encode_text("A"))
-
-
-def test_locate():
-    index = oracle.full_index(encode_text("ACGCTTG"), k=4)
-    assert locate(index, encode_text("C")) == [1, 3]
-    assert locate(index, encode_text("GG")) == []
-    index.sa = None
-    with pytest.raises(MissingSuffixArray):
-        locate(index, encode_text("C"))
+    assert sufs[rng.low - 1] == "ACGCTTG$"
+    assert sufs[rng.low] == "CGCTTG$"
+    rng = search(index, encode_text("TTT"))
+    assert rng.count == 0 and rng.low == index.n
+    assert sufs[rng.low - 1] == "TTG$"
+    assert search(index, encode_text("CT")).count == 1
 
 
 def exhaustive_pairs(max_text, max_query):
@@ -145,9 +127,10 @@ def test_count_matches_naive_scan(text, query):
 @given(texts, st.lists(st.integers(0, 3), min_size=1, max_size=6).map(PackedSequence.from_codes))
 def test_bracket_property_on_misses(text, query):
     index = oracle.full_index(text, k=4)
-    low, hit = bracket(index, query)
-    if hit:
+    rng = search(index, query)
+    if rng.count:
         return
+    low = rng.low
     sufs = oracle.sorted_suffixes(text)
     q = decode(query)
     if low > 0:

@@ -6,11 +6,16 @@ import pytest
 from saii import oracle
 from saii.alphabet import PackedSequence, encode_text
 from saii.errors import SaiiError
+from saii.bwt import Bwt
 from saii.occtable import SampledOccTable, occ_count
+from saii.packedbuf import PackedBuffer, pack
 
 
-def make_bwt(text):
-    return oracle.bwt_from_suffix_array(text, oracle.suffix_array(text))
+def make_bwt(text, room=0):
+    """The oracle's BWT of `text`, with room to insert `room` symbols."""
+    bwt = oracle.bwt_from_suffix_array(text, oracle.suffix_array(text))
+    codes = bwt.data.codes()
+    return Bwt(PackedBuffer(pack(codes, len(codes) + room), len(codes)), bwt.dollar_pos)
 
 
 def test_checkpoints_against_full_table():
@@ -67,8 +72,8 @@ def test_rebuild_from_partial():
 
 def test_rebuild_appends_checkpoint_at_boundary():
     k = 4
-    bwt = make_bwt(encode_text("ACG"))  # length 4 = k exactly
-    table = SampledOccTable.build(bwt, k)
+    bwt = make_bwt(encode_text("ACG"), room=4)  # length 4 = k exactly
+    table = SampledOccTable(k, 8).rebuild_from(bwt, 0)
     assert table.num_checkpoints == 2
     bwt.data.insert(0, 2)
     table.rebuild_from(bwt, 0)
@@ -82,13 +87,13 @@ def test_rebuild_appends_checkpoint_at_boundary():
 
 def test_invalid_k():
     with pytest.raises(ValueError):
-        SampledOccTable(0)
+        SampledOccTable(0, 1)
 
 
 def test_invalid_k_is_typed():
     for k in (0, -1):
         with pytest.raises(SaiiError, match="sampling rate"):
-            SampledOccTable(k)
+            SampledOccTable(k, 1)
 
 
 @pytest.mark.parametrize("length", [10, 15])  # 15: the insertion completes a block
@@ -98,8 +103,8 @@ def test_apply_insert_matches_rebuild(length):
     # at 0, at j*k - 1 and j*k for two boundaries, and at the end
     for pos in (0, k - 1, k, 2 * k - 1, 2 * k, length):
         for code in range(4):
-            bwt = make_bwt(text)
-            table = SampledOccTable.build(bwt, k)
+            bwt = make_bwt(text, room=1)
+            table = SampledOccTable(k, length + 1).rebuild_from(bwt, 0)
             bwt.data.insert(pos, code)
             table.apply_insert(bwt, pos, code)
             assert table == SampledOccTable.build(bwt, k), (pos, code)

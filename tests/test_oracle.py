@@ -75,9 +75,10 @@ def test_full_occ_table_row_sums():
 
 
 def test_full_index_fields():
-    index = oracle.full_index(encode_text("ACGCTTG"), k=4)
+    text = encode_text("ACGCTTG")
+    index = oracle.full_index(text, k=4)
     assert index.c.counts == [0, 1, 3, 5]
-    assert index.sa == [7, 0, 1, 3, 6, 2, 5, 4]
+    assert oracle.suffix_array(text) == [7, 0, 1, 3, 6, 2, 5, 4]
     assert index.n == 8
     table = oracle.full_occ_table(index.bwt)
     assert int(table[index.n - 1].sum()) == index.n - 1

@@ -11,6 +11,11 @@ from saii.packedbuf import _INSERT_VECTOR_MIN, PackedBuffer, pack, tally
 codes_lists = st.lists(st.integers(0, 3), max_size=300)
 
 
+def with_room(codes, room):
+    """Buffer holding `codes` with room to insert `room` more."""
+    return PackedBuffer(pack(codes, len(codes) + room), len(codes))
+
+
 @given(codes_lists)
 def test_from_codes_roundtrip(codes):
     buf = PackedBuffer.from_codes(codes)
@@ -21,7 +26,7 @@ def test_from_codes_roundtrip(codes):
 @given(codes_lists, st.integers(0, 3), st.data())
 def test_insert_matches_list_model(codes, code, data):
     pos = data.draw(st.integers(0, len(codes)))
-    buf = PackedBuffer.from_codes(codes)
+    buf = with_room(codes, 1)
     buf.insert(pos, code)
     model = codes[:pos] + [code] + codes[pos:]
     assert buf.codes() == model
@@ -30,7 +35,7 @@ def test_insert_matches_list_model(codes, code, data):
 def test_insert_int_and_vector_paths_match_list_model():
     rng = random.Random(7)
     codes = [rng.randrange(4) for _ in range(5000)]
-    buf = PackedBuffer.from_codes(codes)
+    buf = with_room(codes, 60)
     model = list(codes)
     for _ in range(60):
         pos = rng.randrange(len(model) + 1)
@@ -48,7 +53,7 @@ def test_insert_path_boundaries():
         codes = [(i * 7 + i // 5) % 4 for i in range(n)]
         for tail in (0, 1, 2, 3, t - 1, t, t + 1):
             pos = n - tail
-            buf = PackedBuffer.from_codes(codes)
+            buf = with_room(codes, 1)
             buf.insert(pos, 2)
             model = codes[:pos] + [2] + codes[pos:]
             payload = buf.payload()
@@ -79,13 +84,12 @@ def test_int_insert_allocation_bounded_by_threshold():
     n = 65_536
     bound = 2 * _INSERT_VECTOR_MIN
     assert bound < n // 4
-    buf = PackedBuffer.from_codes([i % 4 for i in range(n)])
-    buf.reserve(n + 1)
+    buf = with_room([i % 4 for i in range(n)], 1)
     assert peak_bytes(lambda: buf.insert(n - (_INSERT_VECTOR_MIN - 1), 1)) < bound
 
 
 def test_unused_slots_stay_zero():
-    buf = PackedBuffer.from_codes([3, 3, 3])
+    buf = with_room([3, 3, 3], 2)
     buf.insert(0, 3)
     buf.insert(4, 3)
     payload = buf.payload()
@@ -127,13 +131,14 @@ def test_tally_bytes_matches():
                 assert tally(data, start, stop) == [codes[start:stop].count(a) for a in range(4)]
 
 
-def test_reserve_keeps_contents():
-    buf = PackedBuffer.from_codes([1, 2, 3])
-    buf._view()  # force a live numpy export
-    buf.reserve(10_000)
-    assert buf.codes() == [1, 2, 3]
-    buf.append(2)
-    assert buf.codes() == [1, 2, 3, 2]
+@pytest.mark.parametrize("tail", [0, 3, _INSERT_VECTOR_MIN, _INSERT_VECTOR_MIN + 5])
+def test_insert_into_full_buffer_raises(tail):
+    # both shift paths: the capacity is fixed when the buffer is made
+    codes = [i % 4 for i in range(_INSERT_VECTOR_MIN + 8)]
+    buf = PackedBuffer.from_codes(codes)
+    with pytest.raises(IndexError):
+        buf.insert(len(codes) - tail, 1)
+    assert buf.codes() == codes
 
 
 def test_shift_scratch_follows_buffer_size():
@@ -142,11 +147,4 @@ def test_shift_scratch_follows_buffer_size():
     # vector path: the tail holds more than _INSERT_VECTOR_MIN symbols;
     # scratch for this 1 KB buffer fits, two full 4 KB shift chunks would not
     assert peak_bytes(lambda: buf.insert(0, 3)) < 4096
-    # growth drops the small scratch, so a long shift gets a full-size one
-    model = [3] + codes
-    for i in range(20_000):
-        buf.append(i % 4)
-        model.append(i % 4)
-    buf.insert(1, 2)
-    model.insert(1, 2)
-    assert buf.codes() == model
+    assert buf.codes() == [3] + codes

@@ -16,7 +16,6 @@ def test_roundtrip_fields():
     index = construct.build(encode_text("ACGCTTG"), k=4)
     loaded = loads_index(dumps_index(index))
     assert first_mismatch(index, loaded) is None
-    assert loaded.sa is None
     assert loaded.prefetch_built == index.prefetch_built
     assert count(loaded, encode_text("CT")) == 1
 
@@ -97,4 +96,3 @@ def test_file_roundtrip(tmp_path):
     dump_index(index, path)
     loaded = load_index(path)
     assert first_mismatch(index, loaded) is None
-    assert loaded.sa is None  # suffix arrays are never serialized
