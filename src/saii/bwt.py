@@ -1,11 +1,9 @@
-"""Insertable BWT string with the sentinel kept as a position.
+"""Finished BWT string with the sentinel kept as a position.
 
 The sentinel is not a fifth symbol: its slot stores code A and
 `dollar_pos` remembers where it lives.  Occurrence counting for A must
 therefore exclude `dollar_pos`, which `saii.occtable` takes care of.
-`dollar_pos` is None while the incremental constructor has the sentinel
-pending, between a step and its flush.  `saii.construct` alone edits
-`data` and moves `dollar_pos` during a build.
+`saii.construct` makes a `Bwt` from its flattened rope as a build ends.
 """
 
 from __future__ import annotations
@@ -17,16 +15,13 @@ from .packedbuf import PackedBuffer
 class Bwt:
     __slots__ = ("data", "dollar_pos")
 
-    def __init__(self, data: PackedBuffer, dollar_pos: int | None):
+    def __init__(self, data: PackedBuffer, dollar_pos: int):
         self.data = data
         self.dollar_pos = dollar_pos
 
     @classmethod
     def from_codes(cls, codes, dollar_pos: int) -> "Bwt":
         return cls(PackedBuffer.from_codes(codes), dollar_pos)
-
-    def __len__(self) -> int:
-        return self.data.length
 
     def code_at(self, i: int) -> int:
         """Raw 2-bit code at position i (the sentinel slot reads as A)."""

@@ -8,39 +8,38 @@ symbol then takes the sentinel's old slot, and the sentinel moves to
 the new row.
 
 There is one step, `prefetch_step`, after the paper's prefetch
-controller: it leaves the sentinel pending, out of the buffer with
-`bwt.dollar_pos` None and its row held by `SaiiState.q` alone.  The
-next step puts its symbol where the sentinel would have gone, so both
-writes collapse into a single insertion; `prefetch_flush` inserts the
-last sentinel.  The standard schedule, `step`, is that same step with
-the flush run at once: the symbol overwrites the sentinel slot and the
-sentinel is reinserted, so after every standard step the state is
-exactly the index of the current suffix.  A step's row query stops
-below `q`, where the buffer agrees with the logical index either way,
-and both schedules give bit-identical indexes.
+controller: it leaves the sentinel pending (`dollar_pos` None, its row
+held by `SaiiState.q`), so the next step's symbol goes where the
+sentinel would have, one insertion instead of two writes;
+`prefetch_flush` inserts the last sentinel.  The standard `step` runs
+the flush at once, so after it the state is exactly the BWT of the
+current suffix.  A rank stops below `q`, where the BWT agrees with the
+logical index either way: both schedules give bit-identical indexes.
 
-Checkpoints follow each edit by an exact delta rather than a re-count
-(see `saii.occtable`): every row past the edit moves by one symbol.
-The standard schedule pays two deltas per symbol, one for the
-overwrite and one for the sentinel insertion; the prefetch schedule
-pays one for the merged insertion, and the flush one more.  This is
-the 2i/w against i/w Update charge of `saii.costmodel`.  A row is
-tallied from the buffer only when the text completes a block.
+The BWT grows in a `saii.packedbuf.Rope`.  One Fenwick descent at `q`
+gives the leaf, the offset in it and the count of the symbol in the
+leaves before it; the rank adds a tally of the leaf's head, and the
+same leaf and offset take the edit.  The standard schedule pays two
+descents per symbol, the prefetch schedule one: the 2i/w against i/w
+Update charge of `saii.costmodel`.  The k-sampled occurrence table is
+tallied once, by `SaiiState.as_index`, from the finished BWT.
 
-Construction allocates nothing proportional to the text beyond the
-index itself: like the hardware's memory, the BWT buffer and checkpoint
-rows are sized once, for the whole text, before the first step; edits
-run in place, and symbols are read from the packed text one at a time.
+Memory: once a leaf has split, every leaf holds at least `LEAF / 2`
+symbols in `LEAF / 4` bytes, so the leaves of n symbols take at most
+2 * ceil(n / 4) bytes, plus five Fenwick arrays of at most 2n / LEAF + 1
+entries; a text shorter than `LEAF` is one exact-size leaf.  `as_index`
+releases each leaf as it writes the flat BWT.  The checkpoint rows are
+sized once, for the whole text, before the first step.
 """
 
 from __future__ import annotations
 
+from . import packedbuf
 from .alphabet import A, PackedSequence
 from .bwt import Bwt
 from .errors import CapacityExceeded, EmptyText
 from .fmindex import CArray, FmIndex
-from .occtable import SampledOccTable, occ_count
-from .packedbuf import PackedBuffer
+from .occtable import SampledOccTable, occ_count  # noqa: F401 -- bench/tracing.py wraps construct.occ_count
 
 DEFAULT_K = 2048
 HARDWARE_MAX_LEN = 131_072  # BRAM budget of the reference hardware
@@ -50,31 +49,33 @@ class SaiiState:
     """Running index of the suffix absorbed so far.
 
     `q` is the sentinel row in both schedules.  Between steps the
-    standard schedule has the sentinel in the buffer at `bwt.dollar_pos
-    == q`; the prefetch schedule leaves it pending (`bwt.dollar_pos` is
-    None) until the next step or `prefetch_flush` inserts it at `q`.
+    standard schedule has the sentinel in the rope at `dollar_pos == q`
+    (its slot stores code A); the prefetch schedule leaves it pending,
+    `dollar_pos` None.  `occ` is filled by `as_index` alone.
     """
 
-    __slots__ = ("bwt", "c", "occ", "q")
+    __slots__ = ("rope", "dollar_pos", "c", "occ", "q")
 
-    def __init__(self, bwt: Bwt, c: CArray, occ: SampledOccTable):
-        self.bwt = bwt
-        self.c = c
-        self.occ = occ
-        self.q = 0
+    def __init__(self, rope: packedbuf.Rope, c: CArray, occ: SampledOccTable):
+        self.rope, self.c, self.occ = rope, c, occ
+        self.dollar_pos = self.q = 0
 
     def as_index(self, prefetch_built: bool = False) -> FmIndex:
-        return FmIndex(bwt=self.bwt, c=self.c, occ=self.occ, prefetch_built=prefetch_built)
+        """The finished index, after inserting a pending sentinel.  Final:
+        the rope's leaves go into the flat BWT, so the state is spent and a
+        second call raises RuntimeError; deep-copy a state to look at it."""
+        prefetch_flush(self)
+        bwt = Bwt(self.rope.flatten(), self.dollar_pos)
+        self.occ.rebuild_from(bwt, 0)
+        return FmIndex(bwt=bwt, c=self.c, occ=self.occ, prefetch_built=prefetch_built)
 
 
 def init_state(k: int, capacity: int) -> SaiiState:
-    """Index of the empty text, with room for a BWT of `capacity`
-    symbols: the BWT is the sentinel alone, at row 0.  The buffer starts
-    zeroed, so the sentinel slot already stores code A."""
-    bwt = Bwt(PackedBuffer(bytearray((capacity + 3) >> 2), 1), 0)
-    occ = SampledOccTable(k, capacity)
-    occ.rebuild_from(bwt, 0)
-    return SaiiState(bwt, CArray(), occ)
+    """Index of the empty text, for a BWT of `capacity` symbols: the
+    sentinel alone, at row 0, in a zeroed first leaf of min(LEAF,
+    capacity) symbols, so the sentinel slot already stores code A."""
+    first = packedbuf.PackedBuffer(bytearray((min(packedbuf.LEAF, capacity) + 3) >> 2), 1)
+    return SaiiState(packedbuf.Rope(first), CArray(), SampledOccTable(k, capacity))
 
 
 def step(state: SaiiState, code: int) -> int:
@@ -89,24 +90,20 @@ def step(state: SaiiState, code: int) -> int:
 def prefetch_step(state: SaiiState, code: int) -> int:
     """Absorb the next symbol with the deferred-insertion schedule;
     returns the new sentinel row, and leaves the sentinel pending."""
-    bwt = state.bwt
-    occ = state.occ
+    rope = state.rope
     q_old = state.q
-    # One backward-search step for the extended suffix.  The query
-    # prefix ends below q_old, where the buffer agrees with the logical
-    # index whether or not a sentinel is pending, and neither edit
-    # below moves a checkpoint the query reads.
-    q_new = state.c.counts[code] + occ_count(occ, bwt, code, q_old - 1) + 1
-    if bwt.dollar_pos is None:
+    # one backward-search step for the extended suffix: the rank counts
+    # rope[0, q_old), the same whether or not a sentinel is pending
+    j, off, before = rope.locate(q_old, code)
+    q_new = state.c.counts[code] + before + rope.leaves[j].count_code(code, 0, off) + 1
+    if state.dollar_pos is None:
         # merged pass: the deferred sentinel slot takes this symbol
         # directly, one insertion instead of insert-then-overwrite
-        bwt.data.insert(q_old, code)
-        occ.apply_insert(bwt, q_old, code)
+        rope.insert(j, off, code)
     else:
-        # the sentinel is in the buffer: overwrite its slot
-        bwt.data.set(q_old, code)
-        bwt.dollar_pos = None
-        occ.apply_overwrite(q_old, A, code)  # the sentinel slot held raw A
+        # the sentinel is in the rope: overwrite its slot
+        rope.set(j, off, A, code)  # the sentinel slot held raw A
+        state.dollar_pos = None
     state.c.add_symbol(code)
     state.q = q_new
     return q_new
@@ -115,11 +112,10 @@ def prefetch_step(state: SaiiState, code: int) -> int:
 def prefetch_flush(state: SaiiState) -> None:
     """Insert the pending sentinel, if any, at row `q`; afterwards the
     state is exact."""
-    bwt = state.bwt
-    if bwt.dollar_pos is None:
-        bwt.data.insert(state.q, A)  # the sentinel slot stores raw A
-        bwt.dollar_pos = state.q
-        state.occ.apply_insert(bwt, state.q, A)
+    if state.dollar_pos is None:
+        j, off, _ = state.rope.locate(state.q, A)
+        state.rope.insert(j, off, A)  # the sentinel slot stores raw A
+        state.dollar_pos = state.q
 
 
 def build(
@@ -145,5 +141,4 @@ def build(
     advance = step if schedule == "standard" else prefetch_step
     for i in range(text.length - 1, -1, -1):
         advance(state, text.code_at(i))
-    prefetch_flush(state)
     return state.as_index(prefetch_built=schedule == "prefetch")

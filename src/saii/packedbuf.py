@@ -1,4 +1,5 @@
-"""The 2-bit symbol layout, and a mutable buffer with in-place insertion.
+"""The 2-bit symbol layout, a buffer with in-place insertion, and the
+leaf-blocked rope that construction inserts into.
 
 Symbol i occupies bits [2*(i % 4), 2*(i % 4) + 2) of byte i // 4,
 least-significant slot first.  Slots at indices >= length are kept zero
@@ -9,45 +10,33 @@ immutable `saii.alphabet.PackedSequence` uses them too.
 A run of packed bytes read as one little-endian Python int holds its
 codes as two bit planes: the low bit of each code at the even bit
 positions, the high bit at the odd ones.  `tally` counts codes with
-popcounts over those planes (broadword rank), and a short insertion
-shifts the int up by one slot.  An insertion with a long tail shifts a
-numpy view of the same bytes instead, in fixed-size chunks, so no
-temporary grows with the buffer.
+popcounts over those planes (broadword rank), and an insertion shifts
+the int of the bytes from the insertion point on up by one slot.  `Rope`
+keeps that shift inside one leaf of at most `LEAF` symbols, and finds
+and ranks a position in O(log(n / LEAF)) steps with Fenwick trees over
+its leaves (the ropebwt2 layout: Li, Bioinformatics 2014; Fenwick,
+Software: Practice and Experience 1994).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-# Insertions whose tail holds at least this many symbols shift it through
-# numpy; shorter tails shift as one Python int.  The int shift is the
-# faster one below about 4,096 symbols, and this bound also caps its
-# temporaries, a few copies of the tail's packed bytes.
-_INSERT_VECTOR_MIN = 4096
-
-_SHIFT_CHUNK = 4096  # bytes per vector shift step; bounds scratch usage
+LEAF = 1024  # most symbols a rope leaf holds; a multiple of 8
 
 
 class PackedBuffer:
     """Fixed-capacity sequence of 2-bit codes, insertable at any position."""
 
-    __slots__ = ("_buf", "_np", "_s1", "_s2", "length")
+    __slots__ = ("_buf", "length")
 
     def __init__(self, data: bytearray, length: int):
         """Buffer of `length` codes packed in `data`, which it takes over;
         trailing zero bytes are room to insert into."""
         self._buf = data
-        self._np = None
-        self._s1 = None
-        self._s2 = None
         self.length = length
 
     @classmethod
     def from_codes(cls, codes) -> "PackedBuffer":
         return cls(pack(codes, len(codes)), len(codes))
-
-    def __len__(self) -> int:
-        return self.length
 
     def get(self, i: int) -> int:
         return code_at(self._buf, i)
@@ -57,11 +46,6 @@ class PackedBuffer:
         shift = (i & 3) << 1
         self._buf[b] = (self._buf[b] & ~(3 << shift) & 0xFF) | (code << shift)
 
-    def _view(self):
-        if self._np is None:
-            self._np = np.frombuffer(self._buf, dtype=np.uint8)
-        return self._np
-
     def insert(self, pos: int, code: int) -> None:
         """Insert `code` at symbol position `pos`, shifting the tail up;
         IndexError when the buffer is full."""
@@ -70,36 +54,13 @@ class PackedBuffer:
             raise IndexError(f"insert into a full buffer of {n} codes")
         first = pos >> 2
         hi = (n + 4) >> 2  # bytes occupied once length becomes n + 1
-        if n - pos >= _INSERT_VECTOR_MIN:
-            v = self._view()
-            if self._s1 is None:
-                size = min(_SHIFT_CHUNK, len(self._buf))
-                self._s1 = np.empty(size, dtype=np.uint8)
-                self._s2 = np.empty(size, dtype=np.uint8)
-            lo = first + 1
-            # Bytes after the insertion byte gain two bits carried in from
-            # the byte to their left.  Chunks run right-to-left so each read
-            # sees the pre-shift contents; the loop ends at hi == lo.
-            while hi > lo:
-                a = max(lo, hi - _SHIFT_CHUNK)
-                m = hi - a
-                np.left_shift(v[a:hi], 2, out=self._s1[:m])
-                np.right_shift(v[a - 1 : hi - 1], 6, out=self._s2[:m])
-                np.bitwise_or(self._s1[:m], self._s2[:m], out=v[a:hi])
-                hi = a
-            self._buf[first] &= 0x3F  # its top slot was carried above
-        # Bytes [first, hi) as one int: bits below the slot stay, the slot
-        # takes the new code, the rest move up one slot.  The top slot is
-        # zero (padding, or cleared above), so the result fits the bytes.
+        # bytes [first, hi) as one int: bits below the slot stay, the slot
+        # takes the new code, the rest move up into the top (padding) slot
         r = (pos & 3) << 1
         x = int.from_bytes(self._buf[first:hi], "little")
         x = ((x >> r) << (r + 2)) | (code << r) | (x & ((1 << r) - 1))
         self._buf[first:hi] = x.to_bytes(hi - first, "little")
         self.length = n + 1
-
-    def gather(self, byte, shift):
-        """Codes at the packed slots `(byte, shift)` made by `slots`."""
-        return (self._view()[byte] >> shift) & 3
 
     def count_range(self, start: int, stop: int) -> list:
         """Tallies of each code over symbol positions [start, stop)."""
@@ -123,6 +84,100 @@ class PackedBuffer:
 
     def __repr__(self) -> str:
         return f"PackedBuffer(length={self.length})"
+
+
+class Rope:
+    """Codes in `PackedBuffer` leaves of at most `LEAF` symbols.  Fenwick
+    trees `_trees[c]` sum code c per leaf, `_trees[4]` the leaf lengths.
+    A full leaf splits at its middle byte into two half-full leaves of
+    `LEAF` capacity, so after a split every leaf is at least half full."""
+
+    __slots__ = ("leaves", "length", "_trees", "_steps")
+
+    def __init__(self, first: PackedBuffer):
+        self.leaves, self.length = [first], first.length
+        self._trees = [[0, t] for t in first.count_range(0, first.length) + [first.length]]
+        self._steps = ()  # powers of two <= len(leaves) - 1, largest first
+
+    def locate(self, p: int, code: int) -> tuple:
+        """(leaf index, offset in it, count of `code` in the leaves before it)
+        of position p in [0, length], in one descent; a leaf boundary lands
+        at the start of the later leaf, p == length at the end of the last."""
+        j = before = 0
+        if self._steps:
+            sizes, counts, last = self._trees[4], self._trees[code], len(self.leaves) - 1
+            for step in self._steps:
+                i = j + step
+                if i <= last and (size := sizes[i]) <= p:
+                    j, p, before = i, p - size, before + counts[i]
+        return j, p, before
+
+    def insert(self, j: int, off: int, code: int) -> None:
+        """Insert `code` at offset `off` of leaf j, splitting it first if full."""
+        leaf = self.leaves[j]
+        if leaf.length == LEAF:
+            half, mid = LEAF >> 1, LEAF >> 3
+            right = PackedBuffer(leaf._buf[mid:] + bytes(mid), half)
+            leaf._buf[mid:], leaf.length = bytes(mid), half
+            self.leaves.insert(j + 1, right)
+            for tree, value in zip(self._trees, leaf.count_range(0, half) + [half]):
+                _split_node(tree, j + 1, value)
+            self._steps = tuple(1 << b for b in reversed(range((len(self.leaves) - 1).bit_length())))
+            if off > half:
+                j, off, leaf = j + 1, off - half, right
+        leaf.insert(off, code)
+        self.length += 1
+        sizes, counts, m = self._trees[4], self._trees[code], len(self.leaves)
+        j += 1
+        while j <= m:
+            sizes[j] += 1
+            counts[j] += 1
+            j += j & -j
+
+    def set(self, j: int, off: int, old: int, code: int) -> None:
+        """Overwrite the symbol `old` at offset `off` of leaf j with `code`."""
+        self.leaves[j].set(off, code)
+        gained, lost, m = self._trees[code], self._trees[old], len(self.leaves)
+        j += 1
+        while j <= m:
+            gained[j] += 1
+            lost[j] -= 1
+            j += j & -j
+
+    def flatten(self) -> PackedBuffer:
+        """The codes as one exact-size `PackedBuffer`, made once: leaves are
+        popped from the end and released as each is shifted into place; a
+        lone exact-size leaf is handed over.  A second call raises."""
+        leaves, n = self.leaves, self.length
+        if not leaves:
+            raise RuntimeError("rope already flattened")
+        self._trees = None
+        if len(leaves) == 1 and len(leaves[0]._buf) == (n + 3) >> 2:
+            return leaves.pop()
+        out = bytearray((n + 3) >> 2)
+        end = n
+        while leaves:
+            leaf = leaves.pop()
+            start = end - leaf.length
+            lo, hi = start >> 2, (end + 3) >> 2
+            # zero padding: the leaf fits [lo, hi), OR-ed with the next one's head
+            x = int.from_bytes(leaf._buf, "little") << ((start & 3) << 1)
+            x |= out[hi - 1] << ((hi - 1 - lo) << 3)
+            out[lo:hi] = x.to_bytes(hi - lo, "little")
+            end = start
+        return PackedBuffer(out, n)
+
+
+def _split_node(tree: list, i: int, left: int) -> None:
+    """Rebuild Fenwick `tree` with leaf i split into `left` and the rest."""
+    m = len(tree) - 1
+    for node in range(m, 0, -1):  # node sums back to leaf values
+        if (up := node + (node & -node)) <= m:
+            tree[up] -= tree[node]
+    tree[i : i + 1] = [left, tree[i] - left]
+    for node in range(1, m + 2):
+        if (up := node + (node & -node)) <= m + 1:
+            tree[up] += tree[node]
 
 
 def pack(codes, length: int) -> bytearray:
@@ -159,8 +214,3 @@ def tally(data, start: int, stop: int) -> list:
     c = lo.bit_count() - t
     g = hi.bit_count() - t
     return [n - c - g - t, c, g, t]
-
-
-def slots(positions):
-    """(byte index, bit shift) arrays locating each symbol position."""
-    return positions >> 2, ((positions & 3) << 1).astype(np.uint8)

@@ -174,10 +174,11 @@ def test_verify_injected_fault_detected(capsys, monkeypatch):
 
     def corrupting_as_index(state, prefetch_built=False):
         # a build fault: one BWT symbol off after the prefetch schedule
+        index = as_index(state, prefetch_built)
         if prefetch_built:
-            pos = 0 if state.bwt.dollar_pos != 0 else 1
-            state.bwt.data.set(pos, state.bwt.code_at(pos) ^ 1)
-        return as_index(state, prefetch_built)
+            pos = 0 if index.bwt.dollar_pos != 0 else 1
+            index.bwt.data.set(pos, index.bwt.code_at(pos) ^ 1)
+        return index
 
     monkeypatch.setattr(construct.SaiiState, "as_index", corrupting_as_index)
     assert main(["verify", "--trials", "2", "--max-len", "12", "--seed", "5"]) == 2

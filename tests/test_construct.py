@@ -1,14 +1,16 @@
+import copy
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from saii import construct, oracle
+from saii import construct, oracle, packedbuf
 from saii.alphabet import PackedSequence, decode, encode_text
 from saii.errors import CapacityExceeded, EmptyText
 from saii.fmindex import first_mismatch, search
 from saii.occtable import SampledOccTable
+from saii.packedbuf import PackedBuffer
 
 
 def random_text(rng, max_len, min_len=1):
@@ -17,23 +19,41 @@ def random_text(rng, max_len, min_len=1):
     )
 
 
+def snapshot(state):
+    """The index a state holds, leaving the state itself unspent."""
+    return copy.deepcopy(state).as_index()
+
+
 def test_init_state():
     state = construct.init_state(4, 1)
-    assert state.bwt.decode_with_sentinel() == "$"
-    assert state.q == 0
-    assert state.c.counts == [0, 0, 0, 0]
-    assert list(state.occ.checkpoints()[0]) == [0, 0, 0, 0]
-    assert state.occ.num_checkpoints == 1
+    assert state.q == 0 and state.dollar_pos == 0 and state.rope.length == 1
+    index = snapshot(state)
+    assert index.bwt.decode_with_sentinel() == "$"
+    assert index.c.counts == [0, 0, 0, 0]
+    assert list(index.occ.checkpoints()[0]) == [0, 0, 0, 0]
+    assert index.occ.num_checkpoints == 1
 
 
 def test_single_step_counts():
     for code in range(4):
         state = construct.init_state(4, 2)
         construct.step(state, code)
-        assert state.bwt.data.length == 2
-        raw = state.bwt.data.count_range(0, 2)
+        assert state.rope.length == 2
+        assert state.dollar_pos is not None
+        index = snapshot(state)
+        raw = index.bwt.data.count_range(0, 2)
         assert raw[code] >= 1 and sum(raw) == 2
-        assert state.bwt.dollar_pos is not None
+        assert index.bwt.dollar_pos == state.dollar_pos
+
+
+def test_spent_state_cannot_be_flattened_twice():
+    state = construct.init_state(4, 4)
+    for code in (2, 1, 3):
+        construct.prefetch_step(state, code)
+    first = state.as_index()
+    assert first_mismatch(first, oracle.full_index(encode_text("TCG"), k=4)) is None
+    with pytest.raises(RuntimeError):
+        state.as_index()
 
 
 def test_build_worked_example():
@@ -56,8 +76,9 @@ def test_build_acgct_stepwise_matches_oracle_suffixes():
     for i in range(len(codes) - 1, -1, -1):
         construct.step(state, codes[i])
         expected = oracle.full_index(text.suffix(i), k=2)
-        assert first_mismatch(state.as_index(), expected) is None
-        assert state.q == state.bwt.dollar_pos
+        assert first_mismatch(snapshot(state), expected) is None
+        assert state.q == state.dollar_pos
+        assert state.rope.length == len(codes) - i + 1
 
 
 def test_incremental_states_match_oracle_random():
@@ -69,7 +90,7 @@ def test_incremental_states_match_oracle_random():
         for i in range(len(codes) - 1, -1, -1):
             construct.step(state, codes[i])
             expected = oracle.full_index(text.suffix(i), k=4)
-            assert first_mismatch(state.as_index(), expected) is None
+            assert first_mismatch(snapshot(state), expected) is None
 
 
 def test_extended_suffix_occurs_once():
@@ -81,7 +102,7 @@ def test_extended_suffix_occurs_once():
         state = construct.init_state(1, len(codes) + 1)
         for i in range(len(codes) - 1, -1, -1):
             construct.step(state, codes[i])
-            rng_ = search(state.as_index(), text.suffix(i))
+            rng_ = search(snapshot(state), text.suffix(i))
             assert rng_.low == rng_.high == state.q
 
 
@@ -106,9 +127,10 @@ def test_prefetch_q_sequence_and_final_state():
             q_std.append(construct.step(std, codes[i]))
             q_pre.append(construct.prefetch_step(pre, codes[i]))
         assert q_std == q_pre
+        assert pre.dollar_pos is None and pre.rope.length == std.rope.length - 1
         construct.prefetch_flush(pre)
+        assert pre.dollar_pos == pre.q == std.dollar_pos
         assert first_mismatch(std.as_index(), pre.as_index()) is None
-        assert pre.bwt.dollar_pos == pre.q
 
 
 def test_prefetch_intermediate_states_lag_by_one():
@@ -117,12 +139,15 @@ def test_prefetch_intermediate_states_lag_by_one():
     pre = construct.init_state(4, len(codes) + 1)
     for i in range(len(codes) - 1, -1, -1):
         q = construct.prefetch_step(pre, codes[i])
-        # physical buffer is one short: the sentinel is pending at row q
-        assert pre.bwt.data.length == len(codes) - i
-        assert pre.bwt.dollar_pos is None
+        # the rope is one short: the sentinel is pending at row q
+        assert pre.rope.length == len(codes) - i
+        assert pre.dollar_pos is None
         assert pre.q == q
+        expected = oracle.full_index(text.suffix(i), k=4)
+        assert first_mismatch(snapshot(pre), expected) is None
+        assert pre.rope.length == len(codes) - i
     construct.prefetch_flush(pre)
-    assert pre.bwt.dollar_pos == pre.q
+    assert pre.dollar_pos == pre.q
     assert first_mismatch(pre.as_index(), oracle.full_index(text, k=4)) is None
 
 
@@ -169,21 +194,65 @@ def test_build_strict_capacity_bound():
 @given(
     st.lists(st.integers(0, 3), min_size=1, max_size=150),
     st.sampled_from([1, 2, 3, 4, 7, 64]),
+    st.sampled_from([8, 16]),
 )
-@example([(i * i + 3 * i + i // 5) % 4 for i in range(150)], 7)
-@example([(i * i + 3 * i + i // 5) % 4 for i in range(150)], 64)
-def test_delta_checkpoints_match_rebuild_after_every_edit(codes, k):
-    # k = 64 covers both k > n and texts crossing a few boundaries
-    std = construct.init_state(k, len(codes) + 1)
-    pre = construct.init_state(k, len(codes) + 1)
-    for code in reversed(codes):
-        construct.step(std, code)
-        assert std.occ == SampledOccTable.build(std.bwt, k)
-        construct.prefetch_step(pre, code)
-        assert pre.occ == SampledOccTable.build(pre.bwt, k)
-    construct.prefetch_flush(pre)
-    assert pre.occ == SampledOccTable.build(pre.bwt, k)
-    assert first_mismatch(std.as_index(), oracle.full_index(PackedSequence.from_codes(codes), k=k)) is None
+@example([(i * i + 3 * i + i // 5) % 4 for i in range(150)], 7, 8)
+@example([(i * i + 3 * i + i // 5) % 4 for i in range(150)], 64, 16)
+def test_rope_states_match_oracle_after_every_step(codes, k, leaf):
+    # leaves of 8 or 16 symbols split all through the build; k = 64
+    # covers both k > n and texts crossing a few boundaries
+    text = PackedSequence.from_codes(codes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packedbuf, "LEAF", leaf)
+        std = construct.init_state(k, len(codes) + 1)
+        pre = construct.init_state(k, len(codes) + 1)
+        for i in range(len(codes) - 1, -1, -1):
+            construct.step(std, codes[i])
+            construct.prefetch_step(pre, codes[i])
+            expected = oracle.full_index(text.suffix(i), k=k)
+            assert first_mismatch(snapshot(std), expected) is None
+            assert first_mismatch(snapshot(pre), expected) is None
+        # a text of `leaf` symbols or more has split its first leaf
+        assert (len(std.rope.leaves) > 1) == (len(codes) >= leaf)
+
+
+def test_rope_memory_bound(monkeypatch):
+    # 5,000 bp in 64-symbol leaves: every leaf at least half full, so the
+    # leaves hold at most 2 * ceil(n / 4) bytes just before the flatten
+    monkeypatch.setattr(packedbuf, "LEAF", 64)
+    text = random_text(random.Random(48), 5000, min_len=5000)
+    codes = text.codes()
+    n = len(codes) + 1
+    for advance in (construct.step, construct.prefetch_step):
+        state = construct.init_state(64, n)
+        for code in reversed(codes):
+            advance(state, code)
+        construct.prefetch_flush(state)
+        leaves = state.rope.leaves
+        assert state.rope.length == sum(leaf.length for leaf in leaves) == n
+        assert all(leaf.length >= 32 for leaf in leaves)
+        assert sum(len(leaf._buf) for leaf in leaves) <= 2 * (-(-n // 4))
+        assert all(len(tree) == len(leaves) + 1 <= n // 32 + 1 for tree in state.rope._trees)
+        index = state.as_index()
+        assert len(index.bwt.data._buf) == (n + 3) // 4
+        assert first_mismatch(index, oracle.full_index(text, k=64)) is None
+
+
+@pytest.mark.parametrize("schedule", ["standard", "prefetch"])
+def test_insert_shifts_stay_inside_a_leaf(schedule, monkeypatch):
+    tails = []
+    insert = PackedBuffer.insert
+
+    def counted(buf, pos, code):
+        tails.append(buf.length - pos)
+        return insert(buf, pos, code)
+
+    monkeypatch.setattr(PackedBuffer, "insert", counted)
+    text = random_text(random.Random(49), 6000, min_len=6000)
+    index = construct.build(text, k=64, schedule=schedule)
+    assert len(tails) == 6000
+    assert max(tails) < packedbuf.LEAF
+    assert first_mismatch(index, oracle.full_index(text, k=64)) is None
 
 
 @pytest.mark.parametrize("schedule", ["standard", "prefetch"])

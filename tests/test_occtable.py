@@ -95,28 +95,3 @@ def test_invalid_k_is_typed():
         with pytest.raises(SaiiError, match="sampling rate"):
             SampledOccTable(k, 1)
 
-
-@pytest.mark.parametrize("length", [10, 15])  # 15: the insertion completes a block
-def test_apply_insert_matches_rebuild(length):
-    k = 4
-    text = PackedSequence.from_codes([i * 7 % 4 for i in range(length - 1)])
-    # at 0, at j*k - 1 and j*k for two boundaries, and at the end
-    for pos in (0, k - 1, k, 2 * k - 1, 2 * k, length):
-        for code in range(4):
-            bwt = make_bwt(text, room=1)
-            table = SampledOccTable(k, length + 1).rebuild_from(bwt, 0)
-            bwt.data.insert(pos, code)
-            table.apply_insert(bwt, pos, code)
-            assert table == SampledOccTable.build(bwt, k), (pos, code)
-
-
-def test_apply_overwrite_matches_rebuild():
-    k = 4
-    for pos in (0, k - 1, k, 2 * k - 1, 2 * k, 12):
-        for code in range(4):
-            bwt = make_bwt(encode_text("ACGCTTGACGTA"))
-            table = SampledOccTable.build(bwt, k)
-            old = bwt.code_at(pos)
-            bwt.data.set(pos, code)
-            table.apply_overwrite(pos, old, code)
-            assert table == SampledOccTable.build(bwt, k), (pos, code)

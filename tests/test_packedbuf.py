@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saii.packedbuf import _INSERT_VECTOR_MIN, PackedBuffer, pack, tally
+from saii import packedbuf
+from saii.packedbuf import PackedBuffer, Rope, pack, tally
 
 codes_lists = st.lists(st.integers(0, 3), max_size=300)
 
@@ -33,6 +34,7 @@ def test_insert_matches_list_model(codes, code, data):
 
 
 def test_insert_int_and_vector_paths_match_list_model():
+    # long tails, up to the whole 5,000-symbol buffer
     rng = random.Random(7)
     codes = [rng.randrange(4) for _ in range(5000)]
     buf = with_room(codes, 60)
@@ -46,12 +48,11 @@ def test_insert_int_and_vector_paths_match_list_model():
 
 
 def test_insert_path_boundaries():
-    # tails on both sides of the int/vector switch and short ones, at every
-    # slot offset of the insertion point and of the length
-    t = _INSERT_VECTOR_MIN
-    for n in range(t + 8, t + 12):
+    # short and long tails at every slot offset of the insertion point
+    # and of the length
+    for n in range(4104, 4108):
         codes = [(i * 7 + i // 5) % 4 for i in range(n)]
-        for tail in (0, 1, 2, 3, t - 1, t, t + 1):
+        for tail in (0, 1, 2, 3, 4095, 4096, 4097):
             pos = n - tail
             buf = with_room(codes, 1)
             buf.insert(pos, 2)
@@ -79,13 +80,13 @@ def test_count_code_allocation():
 
 
 def test_int_insert_allocation_bounded_by_threshold():
-    # the int path holds a few copies of the tail's packed bytes, never
-    # of the buffer's 16 KB
+    # an insertion holds a few copies of the tail's packed bytes (1 KB
+    # here), never of the buffer's 16 KB
     n = 65_536
-    bound = 2 * _INSERT_VECTOR_MIN
+    bound = 8192
     assert bound < n // 4
     buf = with_room([i % 4 for i in range(n)], 1)
-    assert peak_bytes(lambda: buf.insert(n - (_INSERT_VECTOR_MIN - 1), 1)) < bound
+    assert peak_bytes(lambda: buf.insert(n - 4095, 1)) < bound
 
 
 def test_unused_slots_stay_zero():
@@ -131,20 +132,55 @@ def test_tally_bytes_matches():
                 assert tally(data, start, stop) == [codes[start:stop].count(a) for a in range(4)]
 
 
-@pytest.mark.parametrize("tail", [0, 3, _INSERT_VECTOR_MIN, _INSERT_VECTOR_MIN + 5])
+@pytest.mark.parametrize("tail", [0, 3, 4096, 4101])
 def test_insert_into_full_buffer_raises(tail):
-    # both shift paths: the capacity is fixed when the buffer is made
-    codes = [i % 4 for i in range(_INSERT_VECTOR_MIN + 8)]
+    # short and long tails: the capacity is fixed when the buffer is made
+    codes = [i % 4 for i in range(4104)]
     buf = PackedBuffer.from_codes(codes)
     with pytest.raises(IndexError):
         buf.insert(len(codes) - tail, 1)
     assert buf.codes() == codes
 
 
-def test_shift_scratch_follows_buffer_size():
-    codes = [i % 4 for i in range(_INSERT_VECTOR_MIN + 1)]
-    buf = PackedBuffer.from_codes(codes)
-    # vector path: the tail holds more than _INSERT_VECTOR_MIN symbols;
-    # scratch for this 1 KB buffer fits, two full 4 KB shift chunks would not
-    assert peak_bytes(lambda: buf.insert(0, 3)) < 4096
-    assert buf.codes() == [3] + codes
+
+def test_rope_flatten_over_odd_leaf_lengths(monkeypatch):
+    # 8-symbol leaves split into 4 + 4 and grow one symbol at a time, so
+    # leaves end at every slot offset of a byte
+    monkeypatch.setattr(packedbuf, "LEAF", 8)
+    rng = random.Random(9)
+    model = [2, 1, 3]
+    rope = Rope(PackedBuffer(pack(model, 8), len(model)))
+    for _ in range(300):
+        pos, code = rng.randrange(len(model) + 1), rng.randrange(4)
+        j, off, before = rope.locate(pos, code)
+        assert before + rope.leaves[j].count_code(code, 0, off) == model[:pos].count(code)
+        rope.insert(j, off, code)
+        model.insert(pos, code)
+    lengths = [leaf.length for leaf in rope.leaves]
+    assert sum(lengths) == rope.length == len(model)
+    assert {n % 4 for n in lengths} == {0, 1, 2, 3} and min(lengths) >= 4
+    flat = rope.flatten()
+    assert flat.codes() == model
+    assert flat.payload() == pack(model, len(model)) and len(flat._buf) == (len(model) + 3) // 4
+    assert rope.leaves == []
+    with pytest.raises(RuntimeError):
+        rope.flatten()
+
+
+def test_rope_set_keeps_ranks(monkeypatch):
+    monkeypatch.setattr(packedbuf, "LEAF", 8)
+    rng = random.Random(10)
+    model = [rng.randrange(4) for _ in range(40)]
+    rope = Rope(PackedBuffer(pack(model[:1], 8), 1))
+    for pos in range(1, len(model)):
+        rope.insert(*rope.locate(pos, 0)[:2], model[pos])
+    for _ in range(200):
+        pos, code = rng.randrange(len(model)), rng.randrange(4)
+        j, off, _ = rope.locate(pos, code)
+        rope.set(j, off, model[pos], code)
+        model[pos] = code
+        for p in (0, pos, len(model)):
+            for a in range(4):
+                j, off, before = rope.locate(p, a)
+                assert before + rope.leaves[j].count_code(a, 0, off) == model[:p].count(a)
+    assert rope.flatten().codes() == model
