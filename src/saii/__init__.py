@@ -9,7 +9,6 @@ bench`).
 """
 
 from .alphabet import PackedSequence, decode, encode_text
-from .bwt import Bwt
 from .construct import DEFAULT_K, SaiiState, build
 from .errors import (
     CapacityExceeded,
@@ -21,6 +20,7 @@ from .errors import (
     SaiiError,
 )
 from .fmindex import (
+    Bwt,
     CArray,
     FmIndex,
     SearchRange,

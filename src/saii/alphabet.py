@@ -2,7 +2,7 @@
 
 Code order equals lexical order, so comparing code sequences compares
 the source strings.  The end-of-string sentinel is never encoded here;
-it exists only as a position (see `saii.bwt.Bwt.dollar_pos`).
+it exists only as a position (see `saii.fmindex.Bwt.dollar_pos`).
 """
 
 from __future__ import annotations

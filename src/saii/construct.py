@@ -8,8 +8,8 @@ symbol then takes the sentinel's old slot, and the sentinel moves to
 the new row.
 
 There is one step, `prefetch_step`, after the paper's prefetch
-controller: it leaves the sentinel pending (`dollar_pos` None, its row
-held by `SaiiState.q`), so the next step's symbol goes where the
+controller: it leaves the sentinel pending (`SaiiState.pending`, its
+row held by `SaiiState.q`), so the next step's symbol goes where the
 sentinel would have, one insertion instead of two writes;
 `prefetch_flush` inserts the last sentinel.  The standard `step` runs
 the flush at once, so after it the state is exactly the BWT of the
@@ -36,9 +36,8 @@ from __future__ import annotations
 
 from . import packedbuf
 from .alphabet import A, PackedSequence
-from .bwt import Bwt
 from .errors import CapacityExceeded, EmptyText
-from .fmindex import CArray, FmIndex
+from .fmindex import Bwt, CArray, FmIndex
 from .occtable import SampledOccTable, occ_count  # noqa: F401 -- bench/tracing.py wraps construct.occ_count
 
 DEFAULT_K = 2048
@@ -49,23 +48,23 @@ class SaiiState:
     """Running index of the suffix absorbed so far.
 
     `q` is the sentinel row in both schedules.  Between steps the
-    standard schedule has the sentinel in the rope at `dollar_pos == q`
-    (its slot stores code A); the prefetch schedule leaves it pending,
-    `dollar_pos` None.  `occ` is filled by `as_index` alone.
+    standard schedule has the sentinel in the rope at row `q` (its slot
+    stores code A); the prefetch schedule leaves it out of the rope,
+    `pending`.  `occ` is filled by `as_index` alone.
     """
 
-    __slots__ = ("rope", "dollar_pos", "c", "occ", "q")
+    __slots__ = ("rope", "pending", "c", "occ", "q")
 
     def __init__(self, rope: packedbuf.Rope, c: CArray, occ: SampledOccTable):
         self.rope, self.c, self.occ = rope, c, occ
-        self.dollar_pos = self.q = 0
+        self.pending, self.q = False, 0
 
     def as_index(self, prefetch_built: bool = False) -> FmIndex:
         """The finished index, after inserting a pending sentinel.  Final:
         the rope's leaves go into the flat BWT, so the state is spent and a
         second call raises RuntimeError; deep-copy a state to look at it."""
         prefetch_flush(self)
-        bwt = Bwt(self.rope.flatten(), self.dollar_pos)
+        bwt = Bwt(self.rope.flatten(), self.q)
         self.occ.rebuild_from(bwt, 0)
         return FmIndex(bwt=bwt, c=self.c, occ=self.occ, prefetch_built=prefetch_built)
 
@@ -75,7 +74,7 @@ def init_state(k: int, capacity: int) -> SaiiState:
     sentinel alone, at row 0, in a zeroed first leaf of min(LEAF,
     capacity) symbols, so the sentinel slot already stores code A."""
     first = packedbuf.PackedBuffer(bytearray((min(packedbuf.LEAF, capacity) + 3) >> 2), 1)
-    return SaiiState(packedbuf.Rope(first), CArray(), SampledOccTable(k, capacity))
+    return SaiiState(packedbuf.Rope(first), CArray([0, 0, 0, 0]), SampledOccTable(k, capacity))
 
 
 def step(state: SaiiState, code: int) -> int:
@@ -96,14 +95,14 @@ def prefetch_step(state: SaiiState, code: int) -> int:
     # rope[0, q_old), the same whether or not a sentinel is pending
     j, off, before = rope.locate(q_old, code)
     q_new = state.c.counts[code] + before + rope.leaves[j].count_code(code, 0, off) + 1
-    if state.dollar_pos is None:
+    if state.pending:
         # merged pass: the deferred sentinel slot takes this symbol
         # directly, one insertion instead of insert-then-overwrite
         rope.insert(j, off, code)
     else:
         # the sentinel is in the rope: overwrite its slot
         rope.set(j, off, A, code)  # the sentinel slot held raw A
-        state.dollar_pos = None
+        state.pending = True
     state.c.add_symbol(code)
     state.q = q_new
     return q_new
@@ -112,10 +111,10 @@ def prefetch_step(state: SaiiState, code: int) -> int:
 def prefetch_flush(state: SaiiState) -> None:
     """Insert the pending sentinel, if any, at row `q`; afterwards the
     state is exact."""
-    if state.dollar_pos is None:
+    if state.pending:
         j, off, _ = state.rope.locate(state.q, A)
         state.rope.insert(j, off, A)  # the sentinel slot stores raw A
-        state.dollar_pos = state.q
+        state.pending = False
 
 
 def build(

@@ -1,5 +1,5 @@
-"""FM-index data model and query side: C array, occurrence queries and
-backward search.  An index holds only what counting needs; locating
+"""FM-index data model and query side: BWT, C array, occurrence queries
+and backward search.  An index holds only what counting needs; locating
 would need suffix-array samples, which no index carries.
 
 The search interval convention: a query occurs in the text iff
@@ -12,14 +12,30 @@ follows all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 from .alphabet import PackedSequence
-from .bwt import Bwt
 from .errors import EmptyText, IndexOutOfRange
 from .occtable import SampledOccTable, occ_count
+from .packedbuf import PackedBuffer
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Bwt:
+    """Finished BWT string with the sentinel kept as a position: its slot
+    stores code A, so occurrence counts for A exclude `dollar_pos`
+    (`saii.occtable.occ_count`).  Indexes compare by `first_mismatch`.
+    """
+
+    data: PackedBuffer
+    dollar_pos: int
+
+    def payload(self) -> bytes:
+        return self.data.payload()
+
+
+@dataclass(slots=True, eq=False)
 class CArray:
     """counts[a] = number of text symbols lexically smaller than a.
 
@@ -27,10 +43,12 @@ class CArray:
     +1 in the backward-search lower bound is its offset.
     """
 
-    __slots__ = ("counts",)
+    counts: list
 
-    def __init__(self, counts=None):
-        self.counts = list(counts) if counts is not None else [0, 0, 0, 0]
+    @classmethod
+    def from_tally(cls, tally) -> "CArray":
+        """C of a text whose per-code symbol counts are `tally`."""
+        return cls(list(accumulate(tally[:3], initial=0)))
 
     def add_symbol(self, code: int) -> None:
         """Account for one more text symbol `code`."""
@@ -38,23 +56,11 @@ class CArray:
         for b in range(code + 1, 4):
             counts[b] += 1
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CArray):
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __repr__(self) -> str:
-        return f"CArray({self.counts})"
-
 
 def build_c_array(seq: PackedSequence) -> CArray:
     if seq.length < 1:
         raise EmptyText("C array needs at least one symbol")
-    tally = seq.tally()
-    c = [0, 0, 0, 0]
-    for a in range(1, 4):
-        c[a] = c[a - 1] + tally[a - 1]
-    return CArray(c)
+    return CArray.from_tally(seq.tally())
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,19 +73,24 @@ class SearchRange:
         return self.high - self.low + 1 if self.low <= self.high else 0
 
 
-@dataclass
+@dataclass(eq=False)
 class FmIndex:
     """Aggregate of BWT, C array and sampled occurrence table.
 
     The length `n` (sentinel included) and sampling rate `k` are read
     from the BWT and the table.  `prefetch_built` records the schedule
-    that built the index and takes no part in comparisons.
+    that built the index; `==`, which is `first_mismatch`, ignores it.
     """
 
     bwt: Bwt
     c: CArray
     occ: SampledOccTable
-    prefetch_built: bool = field(default=False, compare=False)
+    prefetch_built: bool = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FmIndex):
+            return NotImplemented
+        return first_mismatch(self, other) is None
 
     @property
     def n(self) -> int:
@@ -142,8 +153,8 @@ def first_mismatch(a: FmIndex, b: FmIndex) -> str | None:
         return "dollar_pos"
     if a.bwt.payload() != b.bwt.payload():
         return "bwt"
-    if a.c != b.c:
+    if a.c.counts != b.c.counts:
         return "c"
-    if a.occ != b.occ:
+    if a.occ.checkpoints().tobytes() != b.occ.checkpoints().tobytes():
         return "occ"
     return None

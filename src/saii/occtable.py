@@ -12,11 +12,15 @@ The table is tallied once per index from a finished BWT, by
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .alphabet import A
-from .bwt import Bwt
 from .errors import InvalidSamplingRate
+
+if TYPE_CHECKING:  # fmindex imports this module
+    from .fmindex import Bwt
 
 
 class SampledOccTable:
@@ -57,15 +61,6 @@ class SampledOccTable:
     @classmethod
     def build(cls, bwt: Bwt, k: int) -> "SampledOccTable":
         return cls(k, bwt.data.length).rebuild_from(bwt, 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SampledOccTable):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and self.num_checkpoints == other.num_checkpoints
-            and bool(np.array_equal(self.checkpoints(), other.checkpoints()))
-        )
 
     def __repr__(self) -> str:
         return f"SampledOccTable(k={self.k}, checkpoints={self.num_checkpoints})"

@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .alphabet import A, PackedSequence
-from .bwt import Bwt
 from .errors import EmptyText
-from .fmindex import CArray, FmIndex, build_c_array
+from .fmindex import Bwt, CArray, FmIndex, build_c_array
 from .occtable import SampledOccTable
+from .packedbuf import PackedBuffer
 
 
 def suffix_array(text: PackedSequence) -> list:
@@ -41,7 +41,7 @@ def bwt_from_suffix_array(text: PackedSequence, sa: list) -> Bwt:
             codes.append(A)  # sentinel slot stores code A
         else:
             codes.append(text.code_at(start - 1))
-    return Bwt.from_codes(codes, dollar_pos)
+    return Bwt(PackedBuffer.from_codes(codes), dollar_pos)
 
 
 def full_occ_table(bwt: Bwt) -> np.ndarray:
@@ -51,7 +51,7 @@ def full_occ_table(bwt: Bwt) -> np.ndarray:
     running = [0, 0, 0, 0]
     for i in range(n):
         if i != bwt.dollar_pos:
-            running[bwt.code_at(i)] += 1
+            running[bwt.data.get(i)] += 1
         table[i] = running
     return table
 
@@ -67,20 +67,21 @@ def invert_bwt(bwt: Bwt) -> PackedSequence:
     """Recover the text by walking last-to-first links from the sentinel row.
 
     Independent of the query machinery: uses the full table directly.
+    ValueError unless the walk is one LF cycle through all n rows.
     """
     n = bwt.data.length
     occ = full_occ_table(bwt)
     tally = bwt.data.count_range(0, n)
     tally[A] -= 1  # sentinel slot is not a text A
-    c = [0, 0, 0, 0]
-    for a in range(1, 4):
-        c[a] = c[a - 1] + tally[a - 1]
+    c = CArray.from_tally(tally).counts
     out = []
     row = 0
-    for _ in range(n - 1):
-        code = bwt.code_at(row)
+    while row != bwt.dollar_pos and len(out) < n:
+        code = bwt.data.get(row)
         out.append(code)
         row = c[code] + int(occ[row][code])
+    if len(out) != n - 1:
+        raise ValueError(f"LF walk from row 0 is not one cycle of {n} rows")
     out.reverse()
     return PackedSequence.from_codes(out)
 

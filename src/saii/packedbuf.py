@@ -77,11 +77,6 @@ class PackedBuffer:
     def codes(self) -> list:
         return unpack(self._buf, self.length)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PackedBuffer):
-            return NotImplemented
-        return self.length == other.length and self.payload() == other.payload()
-
     def __repr__(self) -> str:
         return f"PackedBuffer(length={self.length})"
 

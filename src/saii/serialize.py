@@ -26,12 +26,10 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import accumulate
 
 from .alphabet import A
-from .bwt import Bwt
 from .errors import IndexFormatError
-from .fmindex import CArray, FmIndex
+from .fmindex import Bwt, CArray, FmIndex
 from .occtable import SampledOccTable
 from .packedbuf import PackedBuffer
 
@@ -79,7 +77,7 @@ def _check_consistent(bwt: Bwt, c: CArray, k: int, rows: bytes) -> SampledOccTab
     """The occurrence table of `bwt`; IndexFormatError unless the file's
     checkpoint `rows` and `c` agree with the BWT."""
     n = bwt.data.length
-    if bwt.code_at(bwt.dollar_pos) != A:
+    if bwt.data.get(bwt.dollar_pos) != A:
         raise IndexFormatError("sentinel slot does not read as A")
     if any(bwt.data.count_range(n, (n + 3) & ~3)[1:]):
         raise IndexFormatError("padding bits past the last symbol are set")
@@ -88,7 +86,7 @@ def _check_consistent(bwt: Bwt, c: CArray, k: int, rows: bytes) -> SampledOccTab
         raise IndexFormatError("occurrence checkpoints disagree with the BWT")
     tally = bwt.data.count_range(0, n)
     tally[A] -= 1  # sentinel slot is not a text A
-    if c.counts != list(accumulate(tally[:3], initial=0)):
+    if c.counts != CArray.from_tally(tally).counts:
         raise IndexFormatError("C array disagrees with the BWT")
     return occ
 

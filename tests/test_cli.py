@@ -14,6 +14,8 @@ from saii.fasta import FastaFormatError, parse_fasta, read_sequences
 from saii.fmindex import first_mismatch
 from saii.serialize import load_index
 
+from helpers import decode_with_sentinel
+
 
 def test_parse_fasta_records():
     records = parse_fasta(">r1 first\nACGT\nac gt\n\n>r2\nGG\nGA\n")
@@ -46,7 +48,7 @@ def test_build_and_count_raw(tmp_path, capsys):
     assert main(["build", str(src), "-o", str(out), "--k", "4"]) == 0
     capsys.readouterr()
     index = load_index(out)
-    assert index.bwt.decode_with_sentinel() == "G$AGTCTC"
+    assert decode_with_sentinel(index.bwt) == "G$AGTCTC"
 
     assert main(["count", str(out), "CT"]) == 0
     assert capsys.readouterr().out.strip() == "1 3 3"
@@ -177,7 +179,7 @@ def test_verify_injected_fault_detected(capsys, monkeypatch):
         index = as_index(state, prefetch_built)
         if prefetch_built:
             pos = 0 if index.bwt.dollar_pos != 0 else 1
-            index.bwt.data.set(pos, index.bwt.code_at(pos) ^ 1)
+            index.bwt.data.set(pos, index.bwt.data.get(pos) ^ 1)
         return index
 
     monkeypatch.setattr(construct.SaiiState, "as_index", corrupting_as_index)

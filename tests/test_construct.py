@@ -12,6 +12,8 @@ from saii.fmindex import first_mismatch, search
 from saii.occtable import SampledOccTable
 from saii.packedbuf import PackedBuffer
 
+from helpers import decode_with_sentinel
+
 
 def random_text(rng, max_len, min_len=1):
     return PackedSequence.from_codes(
@@ -26,9 +28,9 @@ def snapshot(state):
 
 def test_init_state():
     state = construct.init_state(4, 1)
-    assert state.q == 0 and state.dollar_pos == 0 and state.rope.length == 1
+    assert state.q == 0 and not state.pending and state.rope.length == 1
     index = snapshot(state)
-    assert index.bwt.decode_with_sentinel() == "$"
+    assert decode_with_sentinel(index.bwt) == "$"
     assert index.c.counts == [0, 0, 0, 0]
     assert list(index.occ.checkpoints()[0]) == [0, 0, 0, 0]
     assert index.occ.num_checkpoints == 1
@@ -39,11 +41,11 @@ def test_single_step_counts():
         state = construct.init_state(4, 2)
         construct.step(state, code)
         assert state.rope.length == 2
-        assert state.dollar_pos is not None
+        assert not state.pending
         index = snapshot(state)
         raw = index.bwt.data.count_range(0, 2)
         assert raw[code] >= 1 and sum(raw) == 2
-        assert index.bwt.dollar_pos == state.dollar_pos
+        assert index.bwt.dollar_pos == state.q
 
 
 def test_spent_state_cannot_be_flattened_twice():
@@ -58,14 +60,14 @@ def test_spent_state_cannot_be_flattened_twice():
 
 def test_build_worked_example():
     index = construct.build(encode_text("ACGCTTG"), k=4)
-    assert index.bwt.decode_with_sentinel() == "G$AGTCTC"
+    assert decode_with_sentinel(index.bwt) == "G$AGTCTC"
     assert index.bwt.dollar_pos == 1
     assert index.c.counts == [0, 1, 3, 5]
 
 
 def test_build_single_character():
     index = construct.build(encode_text("A"), k=4)
-    assert index.bwt.decode_with_sentinel() == "A$"
+    assert decode_with_sentinel(index.bwt) == "A$"
 
 
 def test_build_acgct_stepwise_matches_oracle_suffixes():
@@ -77,7 +79,7 @@ def test_build_acgct_stepwise_matches_oracle_suffixes():
         construct.step(state, codes[i])
         expected = oracle.full_index(text.suffix(i), k=2)
         assert first_mismatch(snapshot(state), expected) is None
-        assert state.q == state.dollar_pos
+        assert not state.pending
         assert state.rope.length == len(codes) - i + 1
 
 
@@ -127,9 +129,9 @@ def test_prefetch_q_sequence_and_final_state():
             q_std.append(construct.step(std, codes[i]))
             q_pre.append(construct.prefetch_step(pre, codes[i]))
         assert q_std == q_pre
-        assert pre.dollar_pos is None and pre.rope.length == std.rope.length - 1
+        assert pre.pending and pre.rope.length == std.rope.length - 1
         construct.prefetch_flush(pre)
-        assert pre.dollar_pos == pre.q == std.dollar_pos
+        assert not pre.pending and pre.q == std.q
         assert first_mismatch(std.as_index(), pre.as_index()) is None
 
 
@@ -141,13 +143,13 @@ def test_prefetch_intermediate_states_lag_by_one():
         q = construct.prefetch_step(pre, codes[i])
         # the rope is one short: the sentinel is pending at row q
         assert pre.rope.length == len(codes) - i
-        assert pre.dollar_pos is None
+        assert pre.pending
         assert pre.q == q
         expected = oracle.full_index(text.suffix(i), k=4)
         assert first_mismatch(snapshot(pre), expected) is None
         assert pre.rope.length == len(codes) - i
     construct.prefetch_flush(pre)
-    assert pre.dollar_pos == pre.q
+    assert not pre.pending
     assert first_mismatch(pre.as_index(), oracle.full_index(text, k=4)) is None
 
 

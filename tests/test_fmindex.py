@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saii import oracle
+from saii import construct, oracle
 from saii.alphabet import PackedSequence, decode, encode_text
 from saii.errors import EmptyText, IndexOutOfRange
 from saii.fmindex import (
+    Bwt,
+    CArray,
     SearchRange,
     backward_extend,
     build_c_array,
@@ -18,6 +21,9 @@ from saii.fmindex import (
     occ_query,
     search,
 )
+from saii.occtable import SampledOccTable
+from saii.packedbuf import PackedBuffer
+from saii.serialize import dumps_index, loads_index
 
 texts = st.lists(st.integers(0, 3), min_size=1, max_size=64).map(PackedSequence.from_codes)
 
@@ -147,3 +153,26 @@ def test_first_mismatch_reports_field():
     assert first_mismatch(a, b) == "c"
     b2 = oracle.full_index(encode_text("ACGCTTT"), k=4)
     assert first_mismatch(a, b2) in {"bwt", "dollar_pos"}
+
+
+def test_index_equality_is_first_mismatch():
+    text = encode_text("GATTACAGATTACACCGT")
+    std = construct.build(text, k=4, schedule="standard")
+    pre = construct.build(text, k=4, schedule="prefetch")
+    assert std == pre and std.prefetch_built != pre.prefetch_built
+    assert loads_index(dumps_index(pre)) == std == oracle.full_index(text, k=4)
+    assert std == dataclasses.replace(std, prefetch_built=True)
+    assert std != "not an index"
+
+    codes = std.bwt.data.codes()
+    flip = 0 if std.bwt.dollar_pos else 1
+    codes[flip] ^= 1
+    variants = {
+        "c": dataclasses.replace(std, c=CArray([0, 1, 2, 3])),
+        "dollar_pos": dataclasses.replace(std, bwt=Bwt(std.bwt.data, std.bwt.dollar_pos + 1)),
+        "bwt": dataclasses.replace(std, bwt=Bwt(PackedBuffer.from_codes(codes), std.bwt.dollar_pos)),
+        "k": dataclasses.replace(std, occ=SampledOccTable.build(std.bwt, 5)),
+    }
+    for field, other in variants.items():
+        assert first_mismatch(std, other) == field
+        assert std != other and not std == other

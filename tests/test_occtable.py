@@ -6,7 +6,7 @@ import pytest
 from saii import oracle
 from saii.alphabet import PackedSequence, encode_text
 from saii.errors import SaiiError
-from saii.bwt import Bwt
+from saii.fmindex import Bwt
 from saii.occtable import SampledOccTable, occ_count
 from saii.packedbuf import PackedBuffer, pack
 
@@ -64,10 +64,10 @@ def test_rebuild_from_partial():
     table = SampledOccTable.build(bwt, k)
     # mutate one symbol, then refresh only the blocks that can be stale
     pos = 117
-    old = bwt.code_at(pos)
+    old = bwt.data.get(pos)
     bwt.data.set(pos, (old + 1) % 4)
     table.rebuild_from(bwt, pos // k)
-    assert table == SampledOccTable.build(bwt, k)
+    assert np.array_equal(table.checkpoints(), SampledOccTable.build(bwt, k).checkpoints())
 
 
 def test_rebuild_appends_checkpoint_at_boundary():

@@ -6,6 +6,10 @@ import pytest
 
 from saii import oracle
 from saii.alphabet import PackedSequence, decode, encode_text
+from saii.fmindex import Bwt
+from saii.packedbuf import PackedBuffer
+
+from helpers import decode_with_sentinel
 
 
 def test_suffix_array_worked_example():
@@ -32,14 +36,14 @@ def test_suffix_array_is_sorted_permutation():
 def test_bwt_worked_example():
     text = encode_text("ACGCTTG")
     bwt = oracle.bwt_from_suffix_array(text, oracle.suffix_array(text))
-    assert bwt.decode_with_sentinel() == "G$AGTCTC"
+    assert decode_with_sentinel(bwt) == "G$AGTCTC"
     assert bwt.dollar_pos == 1
 
 
 def test_bwt_single_character():
     text = encode_text("A")
     bwt = oracle.bwt_from_suffix_array(text, oracle.suffix_array(text))
-    assert bwt.decode_with_sentinel() == "A$"
+    assert decode_with_sentinel(bwt) == "A$"
     assert bwt.dollar_pos == 1
 
 
@@ -52,6 +56,35 @@ def test_bwt_inversion_roundtrip():
         assert oracle.invert_bwt(bwt) == text
 
 
+@pytest.mark.parametrize(
+    "seq, swaps, broken", [("ACGCTTGACGTTAG", 12, 9), ("GATTACAGATTACACCGT", 16, 15)]
+)
+def test_invert_bwt_rejects_in_block_swaps_that_break_the_cycle(seq, swaps, broken):
+    # swapping two different symbols inside one k = 4 block leaves C and
+    # every checkpoint valid; only the LF cycle can tell
+    text = encode_text(seq)
+    bwt = oracle.bwt_from_suffix_array(text, oracle.suffix_array(text))
+    codes = bwt.data.codes()
+    rows = [i for i in range(len(codes)) if i != bwt.dollar_pos]
+    tried = rejected = 0
+    for i, j in itertools.combinations(rows, 2):
+        if i // 4 != j // 4 or codes[i] == codes[j]:
+            continue
+        swapped = codes[:]
+        swapped[i], swapped[j] = codes[j], codes[i]
+        forged = Bwt(PackedBuffer.from_codes(swapped), bwt.dollar_pos)
+        tried += 1
+        try:
+            inverted = oracle.invert_bwt(forged)
+        except ValueError:
+            rejected += 1
+            continue
+        # what survives is the BWT of another text, exactly
+        again = oracle.bwt_from_suffix_array(inverted, oracle.suffix_array(inverted))
+        assert (again.dollar_pos, again.payload()) == (forged.dollar_pos, forged.payload())
+    assert (tried, rejected) == (swaps, broken)
+
+
 def test_bwt_equals_last_column_of_sorted_rotations():
     # exhaustive over a 2-letter alphabet up to length 10
     for length in range(1, 11):
@@ -61,7 +94,7 @@ def test_bwt_equals_last_column_of_sorted_rotations():
             rotations = sorted(s[i:] + s[:i] for i in range(len(s)))
             expected = "".join(r[-1] for r in rotations)
             bwt = oracle.bwt_from_suffix_array(text, oracle.suffix_array(text))
-            assert bwt.decode_with_sentinel() == expected
+            assert decode_with_sentinel(bwt) == expected
 
 
 def test_full_occ_table_row_sums():
