@@ -24,21 +24,22 @@ descents per symbol, the prefetch schedule one: the 2i/w against i/w
 Update charge of `saii.costmodel`.  The k-sampled occurrence table is
 tallied once, by `SaiiState.as_index`, from the finished BWT.
 
-Memory: once a leaf has split, every leaf holds at least `LEAF / 2`
-symbols in `LEAF / 4` bytes, so the leaves of n symbols take at most
-2 * ceil(n / 4) bytes, plus five Fenwick arrays of at most 2n / LEAF + 1
-entries; a text shorter than `LEAF` is one exact-size leaf.  `as_index`
-releases each leaf as it writes the flat BWT.  The checkpoint rows are
-sized once, for the whole text, before the first step.
+Memory: each leaf holds exactly its symbols, in ceil(length / 4) bytes.
+A text shorter than `LEAF` is one leaf; once a leaf has split, every
+leaf holds at least `LEAF / 2` symbols, so n symbols take at most
+2n / LEAF leaves of ceil(n / 4) + 2n / LEAF bytes in all, and five
+Fenwick arrays of at most 2n / LEAF + 1 entries.  The state holds no
+checkpoint rows, so its size does not depend on k; `as_index` releases
+each leaf as it writes the flat BWT, then tallies the rows once.
 """
 
 from __future__ import annotations
 
 from . import packedbuf
 from .alphabet import A, PackedSequence
-from .errors import CapacityExceeded, EmptyText
+from .errors import CapacityExceeded, EmptyText, InvalidParams
 from .fmindex import Bwt, CArray, FmIndex
-from .occtable import SampledOccTable, occ_count  # noqa: F401 -- bench/tracing.py wraps construct.occ_count
+from .occtable import SampledOccTable, _checked_rate, occ_count  # noqa: F401 -- bench/tracing.py wraps construct.occ_count
 
 DEFAULT_K = 2048
 HARDWARE_MAX_LEN = 131_072  # BRAM budget of the reference hardware
@@ -50,13 +51,13 @@ class SaiiState:
     `q` is the sentinel row in both schedules.  Between steps the
     standard schedule has the sentinel in the rope at row `q` (its slot
     stores code A); the prefetch schedule leaves it out of the rope,
-    `pending`.  `occ` is filled by `as_index` alone.
+    `pending`.  `k` is the sampling rate of the table `as_index` tallies.
     """
 
-    __slots__ = ("rope", "pending", "c", "occ", "q")
+    __slots__ = ("rope", "pending", "c", "k", "q")
 
-    def __init__(self, rope: packedbuf.Rope, c: CArray, occ: SampledOccTable):
-        self.rope, self.c, self.occ = rope, c, occ
+    def __init__(self, rope: packedbuf.Rope, c: CArray, k: int):
+        self.rope, self.c, self.k = rope, c, k
         self.pending, self.q = False, 0
 
     def as_index(self, prefetch_built: bool = False) -> FmIndex:
@@ -65,16 +66,16 @@ class SaiiState:
         second call raises RuntimeError; deep-copy a state to look at it."""
         prefetch_flush(self)
         bwt = Bwt(self.rope.flatten(), self.q)
-        self.occ.rebuild_from(bwt, 0)
-        return FmIndex(bwt=bwt, c=self.c, occ=self.occ, prefetch_built=prefetch_built)
+        occ = SampledOccTable.build(bwt, self.k)
+        return FmIndex(bwt=bwt, c=self.c, occ=occ, prefetch_built=prefetch_built)
 
 
-def init_state(k: int, capacity: int) -> SaiiState:
-    """Index of the empty text, for a BWT of `capacity` symbols: the
-    sentinel alone, at row 0, in a zeroed first leaf of min(LEAF,
-    capacity) symbols, so the sentinel slot already stores code A."""
-    first = packedbuf.PackedBuffer(bytearray((min(packedbuf.LEAF, capacity) + 3) >> 2), 1)
-    return SaiiState(packedbuf.Rope(first), CArray([0, 0, 0, 0]), SampledOccTable(k, capacity))
+def init_state(k: int) -> SaiiState:
+    """Index of the empty text: the sentinel alone, at row 0, in a
+    one-byte leaf whose zero slot already stores code A.  Raises
+    InvalidSamplingRate unless k >= 1, before any step."""
+    first = packedbuf.PackedBuffer(bytearray(1), 1)
+    return SaiiState(packedbuf.Rope(first), CArray([0, 0, 0, 0]), _checked_rate(k))
 
 
 def step(state: SaiiState, code: int) -> int:
@@ -131,12 +132,12 @@ def build(
     if text.length == 0:
         raise EmptyText("cannot index an empty text")
     if schedule not in ("standard", "prefetch"):
-        raise ValueError(f"unknown schedule {schedule!r}")
+        raise InvalidParams(f"unknown schedule {schedule!r}")
     if strict_capacity and text.length > HARDWARE_MAX_LEN:
         raise CapacityExceeded(
             f"text of {text.length} symbols exceeds the hardware bound of {HARDWARE_MAX_LEN}"
         )
-    state = init_state(k, text.length + 1)
+    state = init_state(k)
     advance = step if schedule == "standard" else prefetch_step
     for i in range(text.length - 1, -1, -1):
         advance(state, text.code_at(i))

@@ -24,38 +24,29 @@ if TYPE_CHECKING:  # fmindex imports this module
 
 
 class SampledOccTable:
-    __slots__ = ("k", "_cp", "num_checkpoints")
+    """Sampling rate `k` and the n // k + 1 checkpoint rows of a BWT of n symbols."""
 
-    def __init__(self, k: int, capacity: int):
-        """No live rows past row 0 yet, and storage for a BWT of up to
-        `capacity` symbols."""
-        if k < 1:
-            raise InvalidSamplingRate(f"sampling rate must be >= 1, got {k}")
-        self.k = k
-        self._cp = np.zeros((capacity // k + 1, 4), dtype=np.int64)
-        self.num_checkpoints = 1
+    __slots__ = ("k", "_cp")
+
+    def __init__(self, k: int, n: int):
+        """Zeroed rows for a BWT of `n` symbols; row 0 stays zero."""
+        self.k = _checked_rate(k)
+        self._cp = np.zeros((n // k + 1, 4), dtype=np.int64)
 
     def checkpoints(self):
-        """(num_checkpoints, 4) view of the live rows; row j holds the raw
-        tallies over BWT[0 : j*k] (half open).  Do not mutate."""
-        return self._cp[: self.num_checkpoints]
+        """(n // k + 1, 4) array; row j holds the raw tallies over
+        BWT[0 : j*k] (half open).  Do not mutate."""
+        return self._cp
 
     def rebuild_from(self, bwt: Bwt, from_block: int) -> "SampledOccTable":
         """Recompute checkpoints from `from_block` onward against `bwt`.
 
-        Blocks before `from_block` must already agree with the buffer;
-        they are not touched.
+        `bwt` holds the n symbols the rows were made for; blocks before
+        `from_block` must already agree with it, and are not touched.
         """
-        k = self.k
-        total = bwt.data.length // k + 1
-        cp = self._cp
-        if from_block == 0:
-            cp[0] = 0
-            from_block = 1
-        buf = bwt.data
-        for j in range(from_block, total):
+        k, cp, buf = self.k, self._cp, bwt.data
+        for j in range(max(from_block, 1), len(cp)):
             cp[j] = cp[j - 1] + buf.count_range((j - 1) * k, j * k)
-        self.num_checkpoints = total
         return self
 
     @classmethod
@@ -63,7 +54,13 @@ class SampledOccTable:
         return cls(k, bwt.data.length).rebuild_from(bwt, 0)
 
     def __repr__(self) -> str:
-        return f"SampledOccTable(k={self.k}, checkpoints={self.num_checkpoints})"
+        return f"SampledOccTable(k={self.k}, checkpoints={len(self._cp)})"
+
+
+def _checked_rate(k: int) -> int:
+    if k < 1:
+        raise InvalidSamplingRate(f"sampling rate must be >= 1, got {k}")
+    return k
 
 
 def occ_count(table: SampledOccTable, bwt: Bwt, code: int, i: int) -> int:

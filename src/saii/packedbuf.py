@@ -24,13 +24,12 @@ LEAF = 1024  # most symbols a rope leaf holds; a multiple of 8
 
 
 class PackedBuffer:
-    """Fixed-capacity sequence of 2-bit codes, insertable at any position."""
+    """2-bit codes in exactly ceil(length / 4) bytes, insertable anywhere."""
 
     __slots__ = ("_buf", "length")
 
     def __init__(self, data: bytearray, length: int):
-        """Buffer of `length` codes packed in `data`, which it takes over;
-        trailing zero bytes are room to insert into."""
+        """Buffer of the `length` codes packed in `data`, which it takes over."""
         self._buf = data
         self.length = length
 
@@ -48,14 +47,13 @@ class PackedBuffer:
 
     def insert(self, pos: int, code: int) -> None:
         """Insert `code` at symbol position `pos`, shifting the tail up;
-        IndexError when the buffer is full."""
+        the buffer grows by a byte when its last one was full."""
         n = self.length
-        if n >= len(self._buf) << 2:
-            raise IndexError(f"insert into a full buffer of {n} codes")
         first = pos >> 2
         hi = (n + 4) >> 2  # bytes occupied once length becomes n + 1
         # bytes [first, hi) as one int: bits below the slot stay, the slot
-        # takes the new code, the rest move up into the top (padding) slot
+        # takes the new code, the rest move up; a slice one byte short of
+        # hi (the last byte was full) grows the buffer by that byte
         r = (pos & 3) << 1
         x = int.from_bytes(self._buf[first:hi], "little")
         x = ((x >> r) << (r + 2)) | (code << r) | (x & ((1 << r) - 1))
@@ -72,7 +70,7 @@ class PackedBuffer:
 
     def payload(self) -> bytes:
         """The packed bytes holding symbols [0, length)."""
-        return bytes(self._buf[: (self.length + 3) >> 2])
+        return bytes(self._buf)
 
     def codes(self) -> list:
         return unpack(self._buf, self.length)
@@ -84,8 +82,8 @@ class PackedBuffer:
 class Rope:
     """Codes in `PackedBuffer` leaves of at most `LEAF` symbols.  Fenwick
     trees `_trees[c]` sum code c per leaf, `_trees[4]` the leaf lengths.
-    A full leaf splits at its middle byte into two half-full leaves of
-    `LEAF` capacity, so after a split every leaf is at least half full."""
+    A full leaf splits at its middle byte into two exact halves, so after
+    a split every leaf is at least half full."""
 
     __slots__ = ("leaves", "length", "_trees", "_steps")
 
@@ -112,8 +110,8 @@ class Rope:
         leaf = self.leaves[j]
         if leaf.length == LEAF:
             half, mid = LEAF >> 1, LEAF >> 3
-            right = PackedBuffer(leaf._buf[mid:] + bytes(mid), half)
-            leaf._buf[mid:], leaf.length = bytes(mid), half
+            right = PackedBuffer(leaf._buf[mid:], half)
+            leaf._buf[mid:], leaf.length = b"", half
             self.leaves.insert(j + 1, right)
             for tree, value in zip(self._trees, leaf.count_range(0, half) + [half]):
                 _split_node(tree, j + 1, value)
@@ -140,14 +138,14 @@ class Rope:
             j += j & -j
 
     def flatten(self) -> PackedBuffer:
-        """The codes as one exact-size `PackedBuffer`, made once: leaves are
-        popped from the end and released as each is shifted into place; a
-        lone exact-size leaf is handed over.  A second call raises."""
+        """The codes as one `PackedBuffer`, made once: leaves are popped
+        from the end and released as each is shifted into place; a lone
+        leaf is handed over.  A second call raises."""
         leaves, n = self.leaves, self.length
         if not leaves:
             raise RuntimeError("rope already flattened")
         self._trees = None
-        if len(leaves) == 1 and len(leaves[0]._buf) == (n + 3) >> 2:
+        if len(leaves) == 1:
             return leaves.pop()
         out = bytearray((n + 3) >> 2)
         end = n

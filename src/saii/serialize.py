@@ -15,11 +15,12 @@ Little-endian throughout:
 
 The CRC is verified before anything is parsed, so any single corrupted
 byte fails the load.  A file with a valid CRC must also be one that a
-build could have written: the sentinel slot reads as A, the padding bits
-are zero, and C and every checkpoint row agree with the BWT.  The load
-tallies the one checkpoint table the index keeps from the BWT and
-requires the file's rows to match it byte for byte.  Serialization is
-canonical: load followed by dump reproduces the input byte for byte.
+build could have written: only flag bit 0 may be set, the sentinel slot
+reads as A, the padding bits are zero, and C and every checkpoint row
+agree with the BWT.  The load tallies the one checkpoint table the index
+keeps from the BWT and requires the file's rows to match it byte for
+byte.  Serialization is canonical: load followed by dump reproduces the
+input byte for byte.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ def loads_index(blob: bytes) -> FmIndex:
         raise IndexFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise IndexFormatError(f"unsupported format version {version}")
+    if flags & ~_FLAG_PREFETCH:
+        raise IndexFormatError(f"unknown flag bits {flags:#06x}")
     if n < 1 or k < 1 or not dollar < n:
         raise IndexFormatError("inconsistent header fields")
     rows_at = _HEADER.size + ((n + 3) >> 2)

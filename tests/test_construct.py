@@ -1,5 +1,6 @@
 import copy
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from saii import construct, oracle, packedbuf
 from saii.alphabet import PackedSequence, decode, encode_text
-from saii.errors import CapacityExceeded, EmptyText
+from saii.errors import CapacityExceeded, EmptyText, InvalidParams
 from saii.fmindex import first_mismatch, search
 from saii.occtable import SampledOccTable
 from saii.packedbuf import PackedBuffer
@@ -27,18 +28,19 @@ def snapshot(state):
 
 
 def test_init_state():
-    state = construct.init_state(4, 1)
+    state = construct.init_state(4)
     assert state.q == 0 and not state.pending and state.rope.length == 1
     index = snapshot(state)
     assert decode_with_sentinel(index.bwt) == "$"
     assert index.c.counts == [0, 0, 0, 0]
     assert list(index.occ.checkpoints()[0]) == [0, 0, 0, 0]
-    assert index.occ.num_checkpoints == 1
+    assert index.occ.checkpoints().shape == (1, 4)
+    assert len(state.rope.leaves[0]._buf) == 1
 
 
 def test_single_step_counts():
     for code in range(4):
-        state = construct.init_state(4, 2)
+        state = construct.init_state(4)
         construct.step(state, code)
         assert state.rope.length == 2
         assert not state.pending
@@ -49,7 +51,7 @@ def test_single_step_counts():
 
 
 def test_spent_state_cannot_be_flattened_twice():
-    state = construct.init_state(4, 4)
+    state = construct.init_state(4)
     for code in (2, 1, 3):
         construct.prefetch_step(state, code)
     first = state.as_index()
@@ -74,7 +76,7 @@ def test_build_acgct_stepwise_matches_oracle_suffixes():
     # target ACGCT: every intermediate state must index the current suffix
     text = encode_text("ACGCT")
     codes = text.codes()
-    state = construct.init_state(2, len(codes) + 1)
+    state = construct.init_state(2)
     for i in range(len(codes) - 1, -1, -1):
         construct.step(state, codes[i])
         expected = oracle.full_index(text.suffix(i), k=2)
@@ -88,7 +90,7 @@ def test_incremental_states_match_oracle_random():
     for _ in range(60):
         text = random_text(rng, 48)
         codes = text.codes()
-        state = construct.init_state(4, len(codes) + 1)
+        state = construct.init_state(4)
         for i in range(len(codes) - 1, -1, -1):
             construct.step(state, codes[i])
             expected = oracle.full_index(text.suffix(i), k=4)
@@ -101,7 +103,7 @@ def test_extended_suffix_occurs_once():
     for _ in range(20):
         text = random_text(rng, 24)
         codes = text.codes()
-        state = construct.init_state(1, len(codes) + 1)
+        state = construct.init_state(1)
         for i in range(len(codes) - 1, -1, -1):
             construct.step(state, codes[i])
             rng_ = search(snapshot(state), text.suffix(i))
@@ -122,8 +124,8 @@ def test_prefetch_q_sequence_and_final_state():
     for _ in range(200):
         text = random_text(rng, 64)
         codes = text.codes()
-        std = construct.init_state(4, len(codes) + 1)
-        pre = construct.init_state(4, len(codes) + 1)
+        std = construct.init_state(4)
+        pre = construct.init_state(4)
         q_std, q_pre = [], []
         for i in range(len(codes) - 1, -1, -1):
             q_std.append(construct.step(std, codes[i]))
@@ -138,7 +140,7 @@ def test_prefetch_q_sequence_and_final_state():
 def test_prefetch_intermediate_states_lag_by_one():
     text = encode_text("ACGCT")
     codes = text.codes()
-    pre = construct.init_state(4, len(codes) + 1)
+    pre = construct.init_state(4)
     for i in range(len(codes) - 1, -1, -1):
         q = construct.prefetch_step(pre, codes[i])
         # the rope is one short: the sentinel is pending at row q
@@ -176,7 +178,7 @@ def test_empty_text_rejected():
 
 
 def test_unknown_schedule_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         construct.build(encode_text("ACG"), k=4, schedule="eager")
 
 
@@ -206,8 +208,8 @@ def test_rope_states_match_oracle_after_every_step(codes, k, leaf):
     text = PackedSequence.from_codes(codes)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packedbuf, "LEAF", leaf)
-        std = construct.init_state(k, len(codes) + 1)
-        pre = construct.init_state(k, len(codes) + 1)
+        std = construct.init_state(k)
+        pre = construct.init_state(k)
         for i in range(len(codes) - 1, -1, -1):
             construct.step(std, codes[i])
             construct.prefetch_step(pre, codes[i])
@@ -219,25 +221,54 @@ def test_rope_states_match_oracle_after_every_step(codes, k, leaf):
 
 
 def test_rope_memory_bound(monkeypatch):
-    # 5,000 bp in 64-symbol leaves: every leaf at least half full, so the
-    # leaves hold at most 2 * ceil(n / 4) bytes just before the flatten
+    # 5,000 bp in 64-symbol leaves: every leaf at least half full and
+    # exactly as long as its symbols just before the flatten
     monkeypatch.setattr(packedbuf, "LEAF", 64)
     text = random_text(random.Random(48), 5000, min_len=5000)
     codes = text.codes()
     n = len(codes) + 1
     for advance in (construct.step, construct.prefetch_step):
-        state = construct.init_state(64, n)
+        state = construct.init_state(64)
         for code in reversed(codes):
             advance(state, code)
         construct.prefetch_flush(state)
         leaves = state.rope.leaves
         assert state.rope.length == sum(leaf.length for leaf in leaves) == n
         assert all(leaf.length >= 32 for leaf in leaves)
-        assert sum(len(leaf._buf) for leaf in leaves) <= 2 * (-(-n // 4))
+        assert sum(len(leaf._buf) for leaf in leaves) == sum(-(-leaf.length // 4) for leaf in leaves)
         assert all(len(tree) == len(leaves) + 1 <= n // 32 + 1 for tree in state.rope._trees)
         index = state.as_index()
         assert len(index.bwt.data._buf) == (n + 3) // 4
         assert first_mismatch(index, oracle.full_index(text, k=64)) is None
+
+
+def held_by_build(codes, k) -> tuple:
+    """(bytes traced as held by the state after the last standard step,
+    the spent state's index)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = construct.init_state(k)
+        for code in reversed(codes):
+            construct.step(state, code)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held, state.as_index()
+
+
+def test_build_memory_does_not_depend_on_k():
+    # the state holds no checkpoint rows: the table is tallied once, by
+    # as_index, so a k = 1 build holds what a k = 2048 build holds, where
+    # rows allocated up front would hold 32 bytes per symbol
+    text = random_text(random.Random(50), 4096, min_len=4096)
+    codes = text.codes()
+    held = {}
+    for k in (1, 2048):
+        held[k], index = held_by_build(codes, k)
+        assert first_mismatch(index, oracle.full_index(text, k=k)) is None
+    assert held[2048] > 1024
+    assert abs(held[1] - held[2048]) < 256
 
 
 @pytest.mark.parametrize("schedule", ["standard", "prefetch"])

@@ -3,19 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from saii import oracle
+from saii import construct, oracle
 from saii.alphabet import PackedSequence, encode_text
 from saii.errors import SaiiError
-from saii.fmindex import Bwt
 from saii.occtable import SampledOccTable, occ_count
-from saii.packedbuf import PackedBuffer, pack
 
 
-def make_bwt(text, room=0):
-    """The oracle's BWT of `text`, with room to insert `room` symbols."""
-    bwt = oracle.bwt_from_suffix_array(text, oracle.suffix_array(text))
-    codes = bwt.data.codes()
-    return Bwt(PackedBuffer(pack(codes, len(codes) + room), len(codes)), bwt.dollar_pos)
+def make_bwt(text):
+    """The oracle's BWT of `text`."""
+    return oracle.bwt_from_suffix_array(text, oracle.suffix_array(text))
 
 
 def test_checkpoints_against_full_table():
@@ -28,7 +24,7 @@ def test_checkpoints_against_full_table():
         n = bwt.data.length
         for k in (2, 4, 16, 2048):
             table = SampledOccTable.build(bwt, k)
-            assert table.num_checkpoints == n // k + 1
+            assert table.checkpoints().shape == (n // k + 1, 4)
             for a in range(4):
                 assert occ_count(table, bwt, a, -1) == 0
                 for i in range(n):
@@ -70,21 +66,6 @@ def test_rebuild_from_partial():
     assert np.array_equal(table.checkpoints(), SampledOccTable.build(bwt, k).checkpoints())
 
 
-def test_rebuild_appends_checkpoint_at_boundary():
-    k = 4
-    bwt = make_bwt(encode_text("ACG"), room=4)  # length 4 = k exactly
-    table = SampledOccTable(k, 8).rebuild_from(bwt, 0)
-    assert table.num_checkpoints == 2
-    bwt.data.insert(0, 2)
-    table.rebuild_from(bwt, 0)
-    assert table.num_checkpoints == 2  # 5 // 4 + 1
-    bwt.data.insert(0, 1)
-    bwt.data.insert(0, 1)
-    bwt.data.insert(0, 1)
-    table.rebuild_from(bwt, 0)
-    assert table.num_checkpoints == 3
-
-
 def test_invalid_k():
     with pytest.raises(ValueError):
         SampledOccTable(0, 1)
@@ -94,4 +75,6 @@ def test_invalid_k_is_typed():
     for k in (0, -1):
         with pytest.raises(SaiiError, match="sampling rate"):
             SampledOccTable(k, 1)
+        with pytest.raises(SaiiError, match="sampling rate"):
+            construct.init_state(k)  # before the first step
 

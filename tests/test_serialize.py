@@ -63,6 +63,10 @@ def _padding_to_t(body) -> None:
     body[63] |= 0xC0
 
 
+def _unknown_flags(body) -> None:
+    struct.pack_into("<H", body, 6, 0xFFFE)
+
+
 # n = 15 at k = 4: the BWT is bytes 60..63 with one padding slot in the
 # top bits of byte 63, and checkpoint row j starts at byte 64 + 32 j.
 @pytest.mark.parametrize(
@@ -72,8 +76,9 @@ def _padding_to_t(body) -> None:
         (_padding_to_t, "padding"),
         (_add_u64(64 + 32 + 24, 1), "checkpoints"),  # row 1, count of T
         (_add_u64(28 + 24, 1), "C array"),  # C[T]
+        (_unknown_flags, "flag bits"),  # every bit but the prefetch bit
     ],
-    ids=["sentinel", "padding", "checkpoint", "c"],
+    ids=["sentinel", "padding", "checkpoint", "c", "flags"],
 )
 def test_forged_field_rejected(edit, message):
     blob = dumps_index(construct.build(encode_text("ACGCTTGACGTTAG"), k=4))
