@@ -49,6 +49,8 @@ class PackedBuffer:
         """Insert `code` at symbol position `pos`, shifting the tail up;
         the buffer grows by a byte when its last one was full."""
         n = self.length
+        if not 0 <= pos <= n:
+            raise IndexError(f"insert position {pos} outside [0, {n}]")
         first = pos >> 2
         hi = (n + 4) >> 2  # bytes occupied once length becomes n + 1
         # bytes [first, hi) as one int: bits below the slot stay, the slot

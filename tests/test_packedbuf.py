@@ -147,6 +147,23 @@ def test_insert_into_exact_buffer():
                 assert buf.payload() == pack(model, n + 1)
 
 
+@pytest.mark.parametrize("tail", [0, 3, 4096, 4101])
+def test_insert_into_full_buffer_raises(tail):
+    # short and long tails into a buffer whose last byte is full: an
+    # insert in range grows it by one byte; one past either end raises
+    # and leaves it as it was, padding slots included
+    codes = [i % 4 for i in range(4104)]
+    for pos in (-1 - tail, len(codes) + 1 + tail):
+        buf = PackedBuffer.from_codes(codes)
+        with pytest.raises(IndexError):
+            buf.insert(pos, 1)
+        assert buf.length == len(codes) and buf.payload() == pack(codes, len(codes))
+    buf.insert(len(codes) - tail, 1)
+    model = codes[: len(codes) - tail] + [1] + codes[len(codes) - tail :]
+    assert len(buf._buf) == len(codes) // 4 + 1
+    assert buf.payload() == pack(model, len(model))
+
+
 
 def test_rope_flatten_over_odd_leaf_lengths(monkeypatch):
     # 8-symbol leaves split into 4 + 4 and grow one symbol at a time, so
