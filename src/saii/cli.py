@@ -35,7 +35,10 @@ def _build_record(job):
 
 def cmd_build(args) -> int:
     """Build every record before writing any file, so a failing record
-    leaves nothing behind."""
+    leaves nothing behind.  The pool forks all its workers at once, so
+    it gets no more of them than there are records."""
+    if args.jobs < 0:
+        raise InvalidParams(f"--jobs must be >= 0, got {args.jobs}")
     records = read_sequences(args.input)
     out = args.out if args.out else args.input + ".saii"
     many = len(records) > 1
@@ -43,8 +46,8 @@ def cmd_build(args) -> int:
         (i, f"record {i} ({rec.id})" if many else None, rec.sequence, args.k, args.schedule, args.strict_capacity, args.substitute)
         for i, rec in enumerate(records, start=1)
     ]
-    workers = args.jobs if args.jobs else os.cpu_count() or 1
-    if workers > 1 and many:
+    workers = min(args.jobs or os.cpu_count() or 1, len(records))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_build_record, jobs))
     else:

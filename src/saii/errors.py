@@ -23,7 +23,7 @@ class EmptyText(SaiiError):
 
 
 class IndexOutOfRange(SaiiError):
-    """An occurrence query addressed a position outside [-1, n)."""
+    """An occurrence query addressed a position outside [-1, n) or a code outside 0..3."""
 
 
 class CapacityExceeded(SaiiError):

@@ -60,7 +60,7 @@ class CArray:
 def build_c_array(seq: PackedSequence) -> CArray:
     if seq.length < 1:
         raise EmptyText("C array needs at least one symbol")
-    return CArray.from_tally(seq.tally())
+    return CArray.from_tally(seq.count_range(0, seq.length))
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +105,8 @@ def occ_query(index: FmIndex, code: int, i: int) -> int:
     """O(code, i): occurrences of `code` in BWT[0..i]; i = -1 gives 0."""
     if i >= index.n or i < -1:
         raise IndexOutOfRange(f"occurrence query at {i} outside [-1, {index.n})")
+    if not 0 <= code < 4:
+        raise IndexOutOfRange(f"occurrence query for code {code} outside [0, 4)")
     return occ_count(index.occ, index.bwt, code, i)
 
 

@@ -51,7 +51,7 @@ def full_occ_table(bwt: Bwt) -> np.ndarray:
     running = [0, 0, 0, 0]
     for i in range(n):
         if i != bwt.dollar_pos:
-            running[bwt.data.get(i)] += 1
+            running[bwt.data.code_at(i)] += 1
         table[i] = running
     return table
 
@@ -77,7 +77,7 @@ def invert_bwt(bwt: Bwt) -> PackedSequence:
     out = []
     row = 0
     while row != bwt.dollar_pos and len(out) < n:
-        code = bwt.data.get(row)
+        code = bwt.data.code_at(row)
         out.append(code)
         row = c[code] + int(occ[row][code])
     if len(out) != n - 1:

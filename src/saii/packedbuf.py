@@ -1,11 +1,13 @@
-"""The 2-bit symbol layout, a buffer with in-place insertion, and the
-leaf-blocked rope that construction inserts into.
+"""The 2-bit symbol layout, the one type that holds packed codes, and
+the leaf-blocked rope that construction inserts into.
 
 Symbol i occupies bits [2*(i % 4), 2*(i % 4) + 2) of byte i // 4,
 least-significant slot first.  Slots at indices >= length are kept zero
-so that the payload bytes of equal buffers compare equal.  `pack`,
-`unpack`, `code_at` and `tally` are the one codec for this layout; the
-immutable `saii.alphabet.PackedSequence` uses them too.
+so that the payload bytes of equal buffers compare equal.  `pack` and
+`tally` are the one codec for this layout.  `PackedBuffer` holds texts
+and queries (`saii.alphabet.PackedSequence` is the same class; a text
+keeps immutable `bytes`), rope leaves and the BWT (a `bytearray`, so
+they can take insertions).
 
 A run of packed bytes read as one little-endian Python int holds its
 codes as two bit planes: the low bit of each code at the even bit
@@ -24,12 +26,18 @@ LEAF = 1024  # most symbols a rope leaf holds; a multiple of 8
 
 
 class PackedBuffer:
-    """2-bit codes in exactly ceil(length / 4) bytes, insertable anywhere."""
+    """2-bit codes in exactly ceil(length / 4) bytes; a `bytearray`-backed
+    buffer takes insertions and writes anywhere."""
 
     __slots__ = ("_buf", "length")
 
-    def __init__(self, data: bytearray, length: int):
-        """Buffer of the `length` codes packed in `data`, which it takes over."""
+    def __init__(self, data, length: int):
+        """Buffer of the `length` codes packed in `data` (bytes or a
+        bytearray), which it takes over."""
+        if len(data) != (length + 3) >> 2:
+            raise ValueError(
+                f"payload is {len(data)} bytes, expected {(length + 3) >> 2} for {length} symbols"
+            )
         self._buf = data
         self.length = length
 
@@ -37,8 +45,10 @@ class PackedBuffer:
     def from_codes(cls, codes) -> "PackedBuffer":
         return cls(pack(codes, len(codes)), len(codes))
 
-    def get(self, i: int) -> int:
-        return code_at(self._buf, i)
+    def code_at(self, i: int) -> int:
+        if not 0 <= i < self.length:
+            raise IndexError(i)
+        return (self._buf[i >> 2] >> ((i & 3) << 1)) & 3
 
     def set(self, i: int, code: int) -> None:
         b = i >> 2
@@ -75,7 +85,16 @@ class PackedBuffer:
         return bytes(self._buf)
 
     def codes(self) -> list:
-        return unpack(self._buf, self.length)
+        buf = self._buf
+        return [(buf[i >> 2] >> ((i & 3) << 1)) & 3 for i in range(self.length)]
+
+    def suffix(self, start: int) -> "PackedBuffer":
+        return PackedBuffer.from_codes(self.codes()[start:])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PackedBuffer):
+            return NotImplemented
+        return self.length == other.length and self._buf == other._buf
 
     def __repr__(self) -> str:
         return f"PackedBuffer(length={self.length})"
@@ -182,16 +201,6 @@ def pack(codes, length: int) -> bytearray:
     for i, c in enumerate(codes):
         data[i >> 2] |= c << ((i & 3) << 1)
     return data
-
-
-def unpack(data, length: int) -> list:
-    """The first `length` codes of packed bytes."""
-    return [(data[i >> 2] >> ((i & 3) << 1)) & 3 for i in range(length)]
-
-
-def code_at(data, i: int) -> int:
-    """Code at symbol position i of packed bytes."""
-    return (data[i >> 2] >> ((i & 3) << 1)) & 3
 
 
 def tally(data, start: int, stop: int) -> list:

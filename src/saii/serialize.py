@@ -80,7 +80,7 @@ def _check_consistent(bwt: Bwt, c: CArray, k: int, rows: bytes) -> SampledOccTab
     """The occurrence table of `bwt`; IndexFormatError unless the file's
     checkpoint `rows` and `c` agree with the BWT."""
     n = bwt.data.length
-    if bwt.data.get(bwt.dollar_pos) != A:
+    if bwt.data.code_at(bwt.dollar_pos) != A:
         raise IndexFormatError("sentinel slot does not read as A")
     if any(bwt.data.count_range(n, (n + 3) & ~3)[1:]):
         raise IndexFormatError("padding bits past the last symbol are set")

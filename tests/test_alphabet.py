@@ -56,7 +56,7 @@ def test_empty_sequence_decodes_to_empty():
 def test_payload_size_exact():
     for n in range(1, 10):
         seq = encode_text("A" * n)
-        assert len(seq.data) == (n + 3) // 4
+        assert len(seq.payload()) == (n + 3) // 4
 
 
 @given(acgt)

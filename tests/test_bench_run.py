@@ -1,6 +1,7 @@
 """The benchmark runs end to end on the package: a change that breaks
 what bench/reference.py reads from an index (`bwt.payload()`,
-`occ.checkpoints()`, `c.counts`) fails here, not only in a benchmark run."""
+`occ.checkpoints()`, `c.counts`), or the query texts that `ref_count`
+searches with, fails here, not only in a benchmark run."""
 
 import json
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["ref_build", "read_build"])
+@pytest.mark.parametrize("workload", ["ref_build", "read_build", "ref_count"])
 def test_bench_run_smoke(workload):
     done = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seconds", "0"],

@@ -1,12 +1,14 @@
+import contextlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import saii
-from saii import construct, oracle
+from saii import cli, construct, oracle
 from saii.alphabet import encode_text
 from saii.cli import main
 from saii.costmodel import HardwareParams, emit_scaling_table
@@ -77,6 +79,27 @@ def test_build_parallel_jobs(tmp_path, capsys):
     assert main(["build", str(src), "-o", str(out), "--jobs", "2", "--k", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2 and lines[0].startswith("wrote")
+
+
+def test_build_pool_bounded_by_records(tmp_path, capsys, monkeypatch):
+    # the pool forks every worker it is given at once; this stand-in
+    # records how many and maps in this process
+    asked = []
+
+    def pool(max_workers):
+        asked.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    src = tmp_path / "multi.fa"
+    src.write_text(">a\nACGTACGT\n>b\nGGATCC\n")
+    out = str(tmp_path / "m.idx")
+    assert main(["build", str(src), "-o", out, "--jobs", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: --jobs must be >= 0")
+    assert not asked and not list(tmp_path.glob("*.saii"))
+    assert main(["build", str(src), "-o", out, "--jobs", "8", "--k", "4"]) == 0
+    assert asked == [2]
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
 
 def test_build_invalid_character_exit_code(tmp_path, capsys):
@@ -179,7 +202,7 @@ def test_verify_injected_fault_detected(capsys, monkeypatch):
         index = as_index(state, prefetch_built)
         if prefetch_built:
             pos = 0 if index.bwt.dollar_pos != 0 else 1
-            index.bwt.data.set(pos, index.bwt.data.get(pos) ^ 1)
+            index.bwt.data.set(pos, index.bwt.data.code_at(pos) ^ 1)
         return index
 
     monkeypatch.setattr(construct.SaiiState, "as_index", corrupting_as_index)

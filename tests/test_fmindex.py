@@ -53,6 +53,9 @@ def test_occ_query_examples():
         assert occ_query(index, a, -1) == 0
     with pytest.raises(IndexOutOfRange):
         occ_query(index, C, 8)
+    for code in (-1, 4):  # not codes; as a list index -1 is the T column
+        with pytest.raises(IndexOutOfRange):
+            occ_query(index, code, index.n - 1)
 
 
 def test_occ_row_total_counts_every_position_once():

@@ -60,7 +60,7 @@ def test_rebuild_from_partial():
     table = SampledOccTable.build(bwt, k)
     # mutate one symbol, then refresh only the blocks that can be stale
     pos = 117
-    old = bwt.data.get(pos)
+    old = bwt.data.code_at(pos)
     bwt.data.set(pos, (old + 1) % 4)
     table.rebuild_from(bwt, pos // k)
     assert np.array_equal(table.checkpoints(), SampledOccTable.build(bwt, k).checkpoints())

@@ -17,6 +17,18 @@ def test_from_codes_roundtrip(codes):
     buf = PackedBuffer.from_codes(codes)
     assert buf.codes() == codes
     assert len(buf.payload()) == (len(codes) + 3) // 4
+    # a bytes-backed text and a bytearray-backed leaf of the same codes
+    # are one type and read alike
+    n = len(codes)
+    text = PackedBuffer(bytes(pack(codes, n)), n)
+    assert text == buf and text.payload() == buf.payload() and text.codes() == codes
+    assert [text.code_at(i) for i in range(n)] == [buf.code_at(i) for i in range(n)] == codes
+    assert text.count_range(0, n) == buf.count_range(0, n) == [codes.count(a) for a in range(4)]
+    for i in (-1, n):
+        with pytest.raises(IndexError):
+            buf.code_at(i)
+    with pytest.raises(ValueError):
+        PackedBuffer(bytearray(2), 4)
 
 
 @given(codes_lists, st.integers(0, 3), st.data())
