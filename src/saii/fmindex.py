@@ -8,6 +8,13 @@ is absent, `low` still carries information: it is the number of text
 suffixes lexically smaller than the query, so the suffixes at rows
 low - 1 and low bracket it (low == 0: it precedes all; low == n: it
 follows all).
+
+A backward step (`backward_extend`, `search`) takes one anchored count,
+O(c, low - 1), and reads the new high from it where it can, like BWA's
+paired lookup `bwt_2occ` (Li & Durbin, Bioinformatics 2009): an empty
+interval stays empty with no second count, and an interval inside one
+k-block adds a scan of its own rows.  Only a wider interval makes the
+second count, O(c, high).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .alphabet import PackedSequence
+from .alphabet import A, PackedSequence
 from .errors import EmptyText, IndexOutOfRange
 from .occtable import SampledOccTable, occ_count
 from .packedbuf import PackedBuffer
@@ -115,11 +122,32 @@ def initial_range(index: FmIndex) -> SearchRange:
 
 
 def backward_extend(index: FmIndex, rng: SearchRange, code: int) -> SearchRange:
-    """One backward-search step: the interval for code+current pattern."""
+    """One backward-search step: the interval for code+current pattern,
+    (C[code] + O(code, low - 1) + 1, C[code] + O(code, high)) on any range.
+
+    One anchored count, O(code, low - 1), as in BWA's `bwt_2occ`: when
+    high == low - 1 the new interval is empty too, with no second count;
+    when [low, high] lies in high's k-block, O(code, high) is that count
+    plus a scan of the interval's rows, never longer than the in-block
+    scan of a second count.  Any other range makes the second count.
+    """
+    return SearchRange(*_step(index, code, rng.low, rng.high))
+
+
+def _step(index: FmIndex, code: int, low: int, high: int) -> tuple:
+    """`backward_extend` on plain ints: the new (low, high)."""
+    bwt = index.bwt
     ca = index.c.counts[code]
-    low = ca + occ_count(index.occ, index.bwt, code, rng.low - 1) + 1
-    high = ca + occ_count(index.occ, index.bwt, code, rng.high)
-    return SearchRange(low, high)
+    before = ca + occ_count(index.occ, bwt, code, low - 1)
+    if high == low - 1:
+        return before + 1, before
+    if high - high % index.occ.k <= low <= high:
+        after = before + bwt.data.count_code(code, low, high + 1)
+        if code == A and low <= bwt.dollar_pos <= high:
+            after -= 1  # the sentinel's slot stores code A
+    else:
+        after = ca + occ_count(index.occ, bwt, code, high)
+    return before + 1, after
 
 
 def search(index: FmIndex, query: PackedSequence) -> SearchRange:
@@ -130,10 +158,10 @@ def search(index: FmIndex, query: PackedSequence) -> SearchRange:
     """
     if query.length == 0:
         raise EmptyText("cannot search for an empty query")
-    rng = initial_range(index)
+    low, high = 0, index.n - 1
     for code in reversed(query.codes()):
-        rng = backward_extend(index, rng, code)
-    return rng
+        low, high = _step(index, code, low, high)
+    return SearchRange(low, high)
 
 
 def count(index: FmIndex, query: PackedSequence) -> int:

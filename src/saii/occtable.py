@@ -67,12 +67,10 @@ def occ_count(table: SampledOccTable, bwt: Bwt, code: int, i: int) -> int:
     """Occurrences of `code` in bwt[0..i], sentinel excluded; occ(*, -1) = 0."""
     if i < 0:
         return 0
-    k = table.k
-    block = i // k
-    anchor = block * k
+    block = i // table.k
     # scan first: a checkpoint int held across the scan's allocations
     # adds its 32 B to the allocation peak of every count query
-    total = bwt.data.count_code(code, anchor, i + 1) + int(table._cp[block][code])
+    total = bwt.data.count_code(code, block * table.k, i + 1) + table._cp.item(block, code)
     if code == A and bwt.dollar_pos <= i:
         total -= 1
     return total

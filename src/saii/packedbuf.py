@@ -12,8 +12,15 @@ they can take insertions).
 A run of packed bytes read as one little-endian Python int holds its
 codes as two bit planes: the low bit of each code at the even bit
 positions, the high bit at the odd ones.  `tally` counts codes with
-popcounts over those planes (broadword rank), and an insertion shifts
-the int of the bytes from the insertion point on up by one slot.  `Rope`
+popcounts over those planes (broadword rank: Vigna, WEA 2008), and an
+insertion shifts the int of the bytes from the insertion point on up by
+one slot.  A count reads the bytes holding its range whole, splits the
+planes with one cached 01-pair mask (doubled in length when a longer
+range arrives; `&` truncates it to the data) and subtracts the at most
+3 slots before the range and 3 after it, counted by a 2 KB per-byte
+table, so no call builds a mask.  `count_range` and `count_code` share
+that read; `count_code` takes at most two popcounts, for its own code
+only.  `Rope`
 keeps that shift inside one leaf of at most `LEAF` symbols, and finds
 and ranks a position in O(log(n / LEAF)) steps with Fenwick trees over
 its leaves (the ropebwt2 layout: Li, Bioinformatics 2014; Fenwick,
@@ -21,6 +28,8 @@ Software: Practice and Experience 1994).
 """
 
 from __future__ import annotations
+
+from array import array
 
 LEAF = 1024  # most symbols a rope leaf holds; a multiple of 8
 
@@ -77,8 +86,17 @@ class PackedBuffer:
         return tally(self._buf, start, stop)
 
     def count_code(self, code: int, start: int, stop: int) -> int:
-        """Occurrences of one code over symbol positions [start, stop)."""
-        return tally(self._buf, start, stop)[code]
+        """Occurrences of one code over symbol positions [start, stop);
+        0 when the range is empty or reversed."""
+        if stop <= start:
+            return 0
+        low, high, slots, outside = _planes(self._buf, start, stop)
+        outside = outside >> (code << 2) & 15
+        if code == 3:
+            return (low & high).bit_count() - outside
+        if code == 0:
+            return slots - (low | high).bit_count() - outside
+        return (high if code >> 1 else low).bit_count() - (low & high).bit_count() - outside
 
     def payload(self) -> bytes:
         """The packed bytes holding symbols [0, length)."""
@@ -203,18 +221,64 @@ def pack(codes, length: int) -> bytearray:
     return data
 
 
+# _SLOTS[value << 2 | s]: counts of each code among the first s < 4 slots
+# of a byte value, four bits per code, code 0 lowest, so the counts of a
+# range's two ends add in one int.  A whole-byte read subtracts these for
+# the slots a range leaves out at either end.
+_SLOTS = array(
+    "H",
+    (
+        sum(1 << ((value >> (i << 1) & 3) << 2) for i in range(s))
+        for value in range(256)
+        for s in range(4)
+    ),
+)
+_PAIRS = (1, 0x55)  # (bytes, mask): a 01 bit pair per slot of that many bytes
+
+
+def _grown_pairs(nbytes: int) -> int:
+    """A 01-pair mask of at least `nbytes` bytes, made by doubling the
+    cached one, which it replaces.  `&` truncates any longer mask to the
+    data, so every caller reads the same counts whatever its length."""
+    global _PAIRS
+    size = _PAIRS[0]
+    while size < nbytes:
+        size <<= 1
+    pairs = int.from_bytes(b"\x55" * size, "little")
+    _PAIRS = (size, pairs)
+    return pairs
+
+
+def _planes(data, start: int, stop: int) -> tuple:
+    """The bytes holding symbols [start, stop), start < stop, read whole:
+    their low and high bit planes, their number of slots, and the counts
+    (packed as in `_SLOTS`) of their slots before `start` and from `stop` on."""
+    first = start >> 2
+    nbytes = ((stop + 3) >> 2) - first
+    x = int.from_bytes(data[first : first + nbytes], "little")
+    size, pairs = _PAIRS
+    if size < nbytes:
+        pairs = _grown_pairs(nbytes)
+    past = -stop & 3
+    outside = _SLOTS[(x >> ((nbytes << 3) - (past << 1))) << 2 | past]
+    if start & 3:
+        outside += _SLOTS[(x & 0xFF) << 2 | (start & 3)]
+    return x & pairs, (x >> 1) & pairs, nbytes << 2, outside
+
+
 def tally(data, start: int, stop: int) -> list:
     """Tallies of each code over symbol positions [start, stop) of packed
     bytes `data` (bytes, bytearray or a uint8 array); [0, 0, 0, 0] when
     the range is empty or reversed."""
-    n = stop - start
-    if n <= 0:
+    if stop <= start:
         return [0, 0, 0, 0]
-    x = int.from_bytes(data[start >> 2 : (stop + 3) >> 2], "little") >> ((start & 3) << 1)
-    m = (1 << (n << 1)) // 3  # a 01 bit pair per symbol in range
-    lo = x & m
-    hi = (x >> 1) & m
-    t = (lo & hi).bit_count()
-    c = lo.bit_count() - t
-    g = hi.bit_count() - t
-    return [n - c - g - t, c, g, t]
+    low, high, slots, outside = _planes(data, start, stop)
+    t = (low & high).bit_count()
+    c = low.bit_count() - t
+    g = high.bit_count() - t
+    return [
+        slots - c - g - t - (outside & 15),
+        c - (outside >> 4 & 15),
+        g - (outside >> 8 & 15),
+        t - (outside >> 12),
+    ]

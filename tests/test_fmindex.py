@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saii import construct, oracle
+from saii import construct, fmindex, oracle
 from saii.alphabet import PackedSequence, decode, encode_text
 from saii.errors import EmptyText, IndexOutOfRange
 from saii.fmindex import (
@@ -77,6 +78,77 @@ def test_backward_extend_worked_example():
     assert missed.low > missed.high
 
 
+def test_backward_extend_is_the_two_count_recurrence():
+    # every range 0 <= low <= n, -1 <= high <= n - 1, empty ones and
+    # high < low - 1 included, against (C + O(low - 1) + 1, C + O(high))
+    rng = random.Random(12)
+    dollar_steps = wide_gaps = 0
+    for length in (1, 2, 3, 4, 5, 7, 9, 17, 33, 64, 130):
+        text = PackedSequence.from_codes([rng.randrange(4) for _ in range(length)])
+        for k in (1, 3, 4, 7, 64, 2048):
+            index = oracle.full_index(text, k=k)
+            n, counts = index.n, index.c.counts
+            occ = [[occ_query(index, c, i) for i in range(-1, n)] for c in range(4)]
+            for low in range(n + 1):
+                for high in range(-1, n):
+                    dollar_steps += low <= index.bwt.dollar_pos <= high
+                    wide_gaps += high < low - 1
+                    for c in range(4):
+                        expected = (counts[c] + occ[c][low] + 1, counts[c] + occ[c][high + 1])
+                        got = backward_extend(index, SearchRange(low, high), c)
+                        assert (got.low, got.high) == expected, (length, k, low, high, c)
+    assert dollar_steps and wide_gaps
+
+
+@pytest.fixture
+def occ_calls(monkeypatch):
+    """A one-item list counting the occ_count calls fmindex makes."""
+    calls = [0]
+    occ_count = fmindex.occ_count
+
+    def counted(*args):
+        calls[0] += 1
+        return occ_count(*args)
+
+    monkeypatch.setattr(fmindex, "occ_count", counted)
+    return calls
+
+
+def test_search_one_occ_count_per_step(occ_calls):
+    # a 32,768-bp index at k = 2,048 and 16-64 bp queries, half substrings
+    # and half random: the step anchors one count at low - 1, reads high
+    # from it, and makes a second count only for an interval wider than
+    # high's k-block (two counts on every step would be 2.0 per step)
+    rng = random.Random(21)
+    codes = [rng.randrange(4) for _ in range(32_768)]
+    index = construct.build(PackedSequence.from_codes(codes), k=2048)
+    queries = []
+    for i in range(200):
+        m = rng.randint(16, 64)
+        if i % 2 == 0:
+            start = rng.randrange(len(codes) - m + 1)
+            queries.append(codes[start : start + m])
+        else:
+            queries.append([rng.randrange(4) for _ in range(m)])
+    steps = in_search = empty_steps = 0
+    for q in queries:
+        occ_calls[0] = 0
+        found = search(index, PackedSequence.from_codes(q))
+        in_search += occ_calls[0]
+        steps += len(q)
+        # the same steps one at a time, as backward_extend takes them
+        interval = initial_range(index)
+        for code in reversed(q):
+            before, empty = occ_calls[0], interval.high == interval.low - 1
+            interval = backward_extend(index, interval, code)
+            if empty:
+                assert occ_calls[0] - before == 1
+                empty_steps += 1
+        assert interval == found
+    assert empty_steps > steps // 4
+    assert in_search / steps < 1.15
+
+
 def test_count_examples():
     index = oracle.full_index(encode_text("ACGCTTG"), k=4)
     assert count(index, encode_text("CT")) == 1
@@ -103,6 +175,29 @@ def test_bracket_examples():
     assert rng.count == 0 and rng.low == index.n
     assert sufs[rng.low - 1] == "TTG$"
     assert search(index, encode_text("CT")).count == 1
+
+
+@pytest.mark.parametrize("k", [64, 2048])
+def test_search_wide_intervals(k, occ_calls):
+    # every query of 1-4 symbols on 5,000 bp, whose intervals span many
+    # k-blocks, and random 7-mers, which mostly miss: steps take both the
+    # in-block scan and the second count
+    rng = random.Random(13)
+    text = PackedSequence.from_codes([rng.randrange(4) for _ in range(5000)])
+    index = construct.build(text, k=k)
+    sufs = oracle.sorted_suffixes(text)
+    queries = [list(q) for m in range(1, 5) for q in itertools.product(range(4), repeat=m)]
+    queries += [[rng.randrange(4) for _ in range(7)] for _ in range(200)]
+    steps = misses = 0
+    for q in queries:
+        query = PackedSequence.from_codes(q)
+        found = search(index, query)
+        assert found.count == oracle.naive_count(text, query), q
+        assert found.low == bisect_left(sufs, decode(query)), q
+        steps += len(q)
+        misses += not found.count
+    assert misses > 50
+    assert steps < occ_calls[0] < 2 * steps
 
 
 def exhaustive_pairs(max_text, max_query):

@@ -120,27 +120,43 @@ def test_count_range_matches_list_model(codes, data):
         assert buf.count_code(a, start, stop) == counts[a]
 
 
-def test_count_long_ranges():
+def test_count_long_ranges(monkeypatch):
+    # short ranges, a 10,000-symbol one that doubles the cached 01-pair
+    # mask from one byte, then short ones again under the longer mask
+    monkeypatch.setattr(packedbuf, "_PAIRS", (1, 0x55))
     rng = random.Random(11)
-    codes = [rng.randrange(4) for _ in range(4096)]
+    codes = [rng.randrange(4) for _ in range(10_003)]
     buf = PackedBuffer.from_codes(codes)
-    for start, stop in [(0, 4096), (1, 4095), (3, 3001), (130, 131), (500, 500)]:
+    short = [(130, 131), (500, 500), (1, 4095), (3, 3001), (0, 4096)]
+    for start, stop in short + [(2, 10_002)] + short:
         counts = buf.count_range(start, stop)
         assert counts == [codes[start:stop].count(a) for a in range(4)]
+        assert [buf.count_code(a, start, stop) for a in range(4)] == counts
+    assert packedbuf._PAIRS[0] == 4096
 
 
 def test_tally_bytes_matches():
-    # the tally behind count_range also reads immutable packed bytes
+    # the kernel behind count_range and count_code reads immutable packed
+    # bytes as well; buffers of 0-12 codes take every range, so ranges
+    # start and stop in one byte and zero padding slots sit under code 0
     rng = random.Random(3)
-    for length in [0, 1, 5, 63, 64, 65, 1000]:
+    for length in list(range(13)) + [63, 64, 65, 1000]:
         codes = [rng.randrange(4) for _ in range(length)]
         payload = PackedBuffer.from_codes(codes).payload()
-        # mid-byte starts and stops, one symbol, empty and reversed
-        ranges = [(0, length), (1, length), (length // 3, length - 2), (2, min(3, length))]
-        ranges += [(length, length), (length, 0)]
-        for data in (payload, bytearray(payload), np.frombuffer(payload, dtype=np.uint8)):
-            for start, stop in ranges:
-                assert tally(data, start, stop) == [codes[start:stop].count(a) for a in range(4)]
+        if length <= 12:
+            ranges = [(start, stop) for start in range(length + 1) for stop in range(length + 1)]
+        else:  # mid-byte starts and stops, one symbol, empty and reversed
+            ranges = [(0, length), (1, length), (length // 3, length - 2), (2, 3)]
+            ranges += [(length, length), (length, 0)]
+        backings = (payload, bytearray(payload), np.frombuffer(payload, dtype=np.uint8))
+        for start, stop in ranges:
+            expected = [codes[start:stop].count(a) for a in range(4)]
+            for data in backings:
+                assert tally(data, start, stop) == expected, (length, start, stop)
+            for data in backings[:2]:
+                buf = PackedBuffer(data, length)
+                assert buf.count_range(start, stop) == expected
+                assert [buf.count_code(a, start, stop) for a in range(4)] == expected
 
 
 def test_insert_into_exact_buffer():
