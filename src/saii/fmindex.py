@@ -117,10 +117,6 @@ def occ_query(index: FmIndex, code: int, i: int) -> int:
     return occ_count(index.occ, index.bwt, code, i)
 
 
-def initial_range(index: FmIndex) -> SearchRange:
-    return SearchRange(0, index.n - 1)
-
-
 def backward_extend(index: FmIndex, rng: SearchRange, code: int) -> SearchRange:
     """One backward-search step: the interval for code+current pattern,
     (C[code] + O(code, low - 1) + 1, C[code] + O(code, high)) on any range.

@@ -3,24 +3,22 @@ the leaf-blocked rope that construction inserts into.
 
 Symbol i occupies bits [2*(i % 4), 2*(i % 4) + 2) of byte i // 4,
 least-significant slot first.  Slots at indices >= length are kept zero
-so that the payload bytes of equal buffers compare equal.  `pack` and
-`tally` are the one codec for this layout.  `PackedBuffer` holds texts
-and queries (`saii.alphabet.PackedSequence` is the same class; a text
-keeps immutable `bytes`), rope leaves and the BWT (a `bytearray`, so
-they can take insertions).
+so that the payload bytes of equal buffers compare equal.  `pack` writes
+this layout and `_planes` reads it.  `PackedBuffer` holds texts and
+queries (`saii.alphabet.PackedSequence` is the same class; a text keeps
+immutable `bytes`), rope leaves and the BWT (a `bytearray`, so they can
+take insertions).
 
 A run of packed bytes read as one little-endian Python int holds its
 codes as two bit planes: the low bit of each code at the even bit
-positions, the high bit at the odd ones.  `tally` counts codes with
-popcounts over those planes (broadword rank: Vigna, WEA 2008), and an
-insertion shifts the int of the bytes from the insertion point on up by
-one slot.  A count reads the bytes holding its range whole, splits the
-planes with one cached 01-pair mask (doubled in length when a longer
-range arrives; `&` truncates it to the data) and subtracts the at most
-3 slots before the range and 3 after it, counted by a 2 KB per-byte
-table, so no call builds a mask.  `count_range` and `count_code` share
-that read; `count_code` takes at most two popcounts, for its own code
-only.  `Rope`
+positions, the high bit at the odd ones.  An insertion shifts the int
+of the bytes from the insertion point on up by one slot.  A count
+(`count_range`, or `count_code` for one code) shifts the int of the
+bytes holding its range down to the range's first slot, keeps its
+2 * (stop - start) low bits and splits the two planes with one cached
+01-pair mask (doubled in length when a longer range arrives; `&`
+truncates it to the data), then counts each code from popcounts of the
+planes and the range's length (broadword rank: Vigna, WEA 2008).  `Rope`
 keeps that shift inside one leaf of at most `LEAF` symbols, and finds
 and ranks a position in O(log(n / LEAF)) steps with Fenwick trees over
 its leaves (the ropebwt2 layout: Li, Bioinformatics 2014; Fenwick,
@@ -28,8 +26,6 @@ Software: Practice and Experience 1994).
 """
 
 from __future__ import annotations
-
-from array import array
 
 LEAF = 1024  # most symbols a rope leaf holds; a multiple of 8
 
@@ -60,6 +56,8 @@ class PackedBuffer:
         return (self._buf[i >> 2] >> ((i & 3) << 1)) & 3
 
     def set(self, i: int, code: int) -> None:
+        if not 0 <= i < self.length:
+            raise IndexError(i)
         b = i >> 2
         shift = (i & 3) << 1
         self._buf[b] = (self._buf[b] & ~(3 << shift) & 0xFF) | (code << shift)
@@ -82,21 +80,27 @@ class PackedBuffer:
         self.length = n + 1
 
     def count_range(self, start: int, stop: int) -> list:
-        """Tallies of each code over symbol positions [start, stop)."""
-        return tally(self._buf, start, stop)
+        """Tallies of each code over symbol positions [start, stop);
+        [0, 0, 0, 0] when the range is empty or reversed."""
+        if stop <= start:
+            return [0, 0, 0, 0]
+        low, high = _planes(self._buf, start, stop)
+        t = (low & high).bit_count()
+        c = low.bit_count() - t
+        g = high.bit_count() - t
+        return [stop - start - c - g - t, c, g, t]
 
     def count_code(self, code: int, start: int, stop: int) -> int:
         """Occurrences of one code over symbol positions [start, stop);
         0 when the range is empty or reversed."""
         if stop <= start:
             return 0
-        low, high, slots, outside = _planes(self._buf, start, stop)
-        outside = outside >> (code << 2) & 15
+        low, high = _planes(self._buf, start, stop)
         if code == 3:
-            return (low & high).bit_count() - outside
+            return (low & high).bit_count()
         if code == 0:
-            return slots - (low | high).bit_count() - outside
-        return (high if code >> 1 else low).bit_count() - (low & high).bit_count() - outside
+            return stop - start - (low | high).bit_count()
+        return (high if code >> 1 else low).bit_count() - (low & high).bit_count()
 
     def payload(self) -> bytes:
         """The packed bytes holding symbols [0, length)."""
@@ -221,18 +225,6 @@ def pack(codes, length: int) -> bytearray:
     return data
 
 
-# _SLOTS[value << 2 | s]: counts of each code among the first s < 4 slots
-# of a byte value, four bits per code, code 0 lowest, so the counts of a
-# range's two ends add in one int.  A whole-byte read subtracts these for
-# the slots a range leaves out at either end.
-_SLOTS = array(
-    "H",
-    (
-        sum(1 << ((value >> (i << 1) & 3) << 2) for i in range(s))
-        for value in range(256)
-        for s in range(4)
-    ),
-)
 _PAIRS = (1, 0x55)  # (bytes, mask): a 01 bit pair per slot of that many bytes
 
 
@@ -250,35 +242,13 @@ def _grown_pairs(nbytes: int) -> int:
 
 
 def _planes(data, start: int, stop: int) -> tuple:
-    """The bytes holding symbols [start, stop), start < stop, read whole:
-    their low and high bit planes, their number of slots, and the counts
-    (packed as in `_SLOTS`) of their slots before `start` and from `stop` on."""
-    first = start >> 2
-    nbytes = ((stop + 3) >> 2) - first
-    x = int.from_bytes(data[first : first + nbytes], "little")
+    """The low and high bit planes of exactly the codes [start, stop),
+    start < stop, of packed bytes `data`: code i of the range at bit 2i."""
+    # no local holds a length: ints above 256 are allocated, and one held
+    # across the planes would add to the allocation peak of every count
+    x = int.from_bytes(data[start >> 2 : (stop + 3) >> 2], "little") >> ((start & 3) << 1)
+    x &= (1 << ((stop - start) << 1)) - 1
     size, pairs = _PAIRS
-    if size < nbytes:
-        pairs = _grown_pairs(nbytes)
-    past = -stop & 3
-    outside = _SLOTS[(x >> ((nbytes << 3) - (past << 1))) << 2 | past]
-    if start & 3:
-        outside += _SLOTS[(x & 0xFF) << 2 | (start & 3)]
-    return x & pairs, (x >> 1) & pairs, nbytes << 2, outside
-
-
-def tally(data, start: int, stop: int) -> list:
-    """Tallies of each code over symbol positions [start, stop) of packed
-    bytes `data` (bytes, bytearray or a uint8 array); [0, 0, 0, 0] when
-    the range is empty or reversed."""
-    if stop <= start:
-        return [0, 0, 0, 0]
-    low, high, slots, outside = _planes(data, start, stop)
-    t = (low & high).bit_count()
-    c = low.bit_count() - t
-    g = high.bit_count() - t
-    return [
-        slots - c - g - t - (outside & 15),
-        c - (outside >> 4 & 15),
-        g - (outside >> 8 & 15),
-        t - (outside >> 12),
-    ]
+    if size << 2 < stop - start:
+        pairs = _grown_pairs((stop - start + 3) >> 2)
+    return x & pairs, (x >> 1) & pairs

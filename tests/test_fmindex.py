@@ -18,7 +18,6 @@ from saii.fmindex import (
     build_c_array,
     count,
     first_mismatch,
-    initial_range,
     occ_query,
     search,
 )
@@ -70,7 +69,7 @@ def test_occ_row_total_counts_every_position_once():
 
 def test_backward_extend_worked_example():
     index = oracle.full_index(encode_text("ACGCTTG"), k=4)
-    rng = backward_extend(index, initial_range(index), 3)  # T
+    rng = backward_extend(index, SearchRange(0, index.n - 1), 3)  # T
     assert (rng.low, rng.high) == (6, 7)
     rng = backward_extend(index, rng, 1)  # C -> "CT"
     assert (rng.low, rng.high) == (3, 3)
@@ -137,7 +136,7 @@ def test_search_one_occ_count_per_step(occ_calls):
         in_search += occ_calls[0]
         steps += len(q)
         # the same steps one at a time, as backward_extend takes them
-        interval = initial_range(index)
+        interval = SearchRange(0, index.n - 1)
         for code in reversed(q):
             before, empty = occ_calls[0], interval.high == interval.low - 1
             interval = backward_extend(index, interval, code)

@@ -1,13 +1,12 @@
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saii import packedbuf
-from saii.packedbuf import PackedBuffer, Rope, pack, tally
+from saii.packedbuf import PackedBuffer, Rope, pack
 
 codes_lists = st.lists(st.integers(0, 3), max_size=300)
 
@@ -135,9 +134,9 @@ def test_count_long_ranges(monkeypatch):
     assert packedbuf._PAIRS[0] == 4096
 
 
-def test_tally_bytes_matches():
-    # the kernel behind count_range and count_code reads immutable packed
-    # bytes as well; buffers of 0-12 codes take every range, so ranges
+def test_count_bytes_and_bytearray_match():
+    # count_range and count_code read immutable packed bytes and
+    # bytearrays alike; buffers of 0-12 codes take every range, so ranges
     # start and stop in one byte and zero padding slots sit under code 0
     rng = random.Random(3)
     for length in list(range(13)) + [63, 64, 65, 1000]:
@@ -148,15 +147,25 @@ def test_tally_bytes_matches():
         else:  # mid-byte starts and stops, one symbol, empty and reversed
             ranges = [(0, length), (1, length), (length // 3, length - 2), (2, 3)]
             ranges += [(length, length), (length, 0)]
-        backings = (payload, bytearray(payload), np.frombuffer(payload, dtype=np.uint8))
         for start, stop in ranges:
             expected = [codes[start:stop].count(a) for a in range(4)]
-            for data in backings:
-                assert tally(data, start, stop) == expected, (length, start, stop)
-            for data in backings[:2]:
+            for data in (payload, bytearray(payload)):
                 buf = PackedBuffer(data, length)
-                assert buf.count_range(start, stop) == expected
+                assert buf.count_range(start, stop) == expected, (length, start, stop)
                 assert [buf.count_code(a, start, stop) for a in range(4)] == expected
+
+
+def test_set_out_of_range_raises():
+    # a write past either end would land in a padding slot, or the last
+    # byte's top slot for i = -1, and break equality with the codes
+    codes = [1, 2, 3, 0, 1]
+    for i in (len(codes), -1):
+        buf = PackedBuffer.from_codes(codes)
+        with pytest.raises(IndexError):
+            buf.set(i, 3)
+        assert buf.payload() == b"9\x01" and buf == PackedBuffer.from_codes(codes)
+    buf.set(4, 3)
+    assert buf.codes() == [1, 2, 3, 0, 3]
 
 
 def test_insert_into_exact_buffer():
