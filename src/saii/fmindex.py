@@ -12,9 +12,12 @@ follows all).
 A backward step (`backward_extend`, `search`) takes one anchored count,
 O(c, low - 1), and reads the new high from it where it can, like BWA's
 paired lookup `bwt_2occ` (Li & Durbin, Bioinformatics 2009): an empty
-interval stays empty with no second count, and an interval inside one
-k-block adds a scan of its own rows.  Only a wider interval makes the
-second count, O(c, high).
+interval stays empty with no second count, a one-row interval adds its
+row's own symbol, and an interval of under half a k-block adds a scan
+of its own rows.  Only a wider interval makes the second count,
+O(c, high).  Every count reads from the checkpoint nearer to its
+position (`saii.occtable.occ_count`), so no count a search makes scans
+more than max(k // 2, n mod k) symbols.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from itertools import accumulate
 from .alphabet import A, PackedSequence
 from .errors import EmptyText, IndexOutOfRange
 from .occtable import SampledOccTable, occ_count
-from .packedbuf import PackedBuffer
+from .packedbuf import LEAF, PackedBuffer
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -67,7 +70,11 @@ class CArray:
 def build_c_array(seq: PackedSequence) -> CArray:
     if seq.length < 1:
         raise EmptyText("C array needs at least one symbol")
-    return CArray.from_tally(seq.count_range(0, seq.length))
+    # in chunks of at most LEAF symbols, like the rope's own counts, so
+    # the count kernel's cached mask does not grow to the text's length
+    n = seq.length
+    chunks = (seq.count_range(start, min(start + LEAF, n)) for start in range(0, n, LEAF))
+    return CArray.from_tally([sum(column) for column in zip(*chunks)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,9 +130,10 @@ def backward_extend(index: FmIndex, rng: SearchRange, code: int) -> SearchRange:
 
     One anchored count, O(code, low - 1), as in BWA's `bwt_2occ`: when
     high == low - 1 the new interval is empty too, with no second count;
-    when [low, high] lies in high's k-block, O(code, high) is that count
-    plus a scan of the interval's rows, never longer than the in-block
-    scan of a second count.  Any other range makes the second count.
+    when high == low, O(code, high) is that count plus one if the row
+    holds `code`; when [low, high] spans fewer than k // 2 rows, it is
+    that count plus a scan of the interval's rows, never longer than
+    the scan of a second count.  Any other range makes the second count.
     """
     return SearchRange(*_step(index, code, rng.low, rng.high))
 
@@ -137,7 +145,10 @@ def _step(index: FmIndex, code: int, low: int, high: int) -> tuple:
     before = ca + occ_count(index.occ, bwt, code, low - 1)
     if high == low - 1:
         return before + 1, before
-    if high - high % index.occ.k <= low <= high:
+    if high == low:
+        # the sentinel's row holds no code, though its slot stores A
+        return before + 1, before + (low != bwt.dollar_pos and bwt.data.code_at(low) == code)
+    if 0 < high - low < index.occ.k >> 1:
         after = before + bwt.data.count_code(code, low, high + 1)
         if code == A and low <= bwt.dollar_pos <= high:
             after -= 1  # the sentinel's slot stores code A

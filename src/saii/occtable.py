@@ -2,9 +2,11 @@
 
 Checkpoint j stores raw code tallies over BWT positions [0, j*k); the
 sentinel slot counts as an A here and is corrected at query time using
-the BWT's dollar position.  A point query is one checkpoint lookup plus
-a scan of at most k - 1 positions, so the table is k times smaller than
-a full per-position table at the cost of that scan.
+the BWT's dollar position.  A point query at i reads the checkpoint
+nearer to i, row i // k or the next, and scans the positions between,
+at most floor(k / 2) of them (at most n mod k in a last partial block,
+which has no next row).  The table is k times smaller than a full
+per-position table at the cost of that scan.
 
 The table is tallied once per index from a finished BWT, by
 `saii.construct` at the end of a build or `saii.serialize` at load.
@@ -64,13 +66,22 @@ def _checked_rate(k: int) -> int:
 
 
 def occ_count(table: SampledOccTable, bwt: Bwt, code: int, i: int) -> int:
-    """Occurrences of `code` in bwt[0..i], sentinel excluded; occ(*, -1) = 0."""
+    """Occurrences of `code` in bwt[0..i], sentinel excluded; occ(*, -1) = 0.
+
+    Counts from the nearer checkpoint of i's block: row b = i // k plus
+    a forward scan of bwt[b*k .. i], or, when row b + 1 exists and that
+    side is shorter, row b + 1 minus a backward scan of bwt[i+1 .. (b+1)*k).
+    """
     if i < 0:
         return 0
-    block = i // table.k
+    k = table.k
+    offset = i % k
     # scan first: a checkpoint int held across the scan's allocations
     # adds its 32 B to the allocation peak of every count query
-    total = bwt.data.count_code(code, block * table.k, i + 1) + table._cp.item(block, code)
+    if offset >= k >> 1 and i - offset + k <= bwt.data.length:
+        total = -bwt.data.count_code(code, i + 1, i - offset + k) + table._cp.item(i // k + 1, code)
+    else:
+        total = bwt.data.count_code(code, i - offset, i + 1) + table._cp.item(i // k, code)
     if code == A and bwt.dollar_pos <= i:
         total -= 1
     return total

@@ -1,10 +1,11 @@
 """Brute-force reference implementations used as ground truth.
 
 Everything here favors being obviously correct over being fast: the
-suffix array comes from a plain comparison sort of suffix code slices,
-the BWT from the suffix-array definition, and the full occurrence table
-from direct per-position counting.  This module is also the only
-source of suffix arrays; the incremental constructor never builds one.
+suffix array comes from prefix doubling with a plain comparison sort
+(O(n) memory, so `saii verify` can check long texts), the BWT from the
+suffix-array definition, and the full occurrence table from direct
+per-position counting.  This module is also the only source of suffix
+arrays; the incremental constructor never builds one.
 """
 
 from __future__ import annotations
@@ -21,13 +22,31 @@ from .packedbuf import PackedBuffer
 def suffix_array(text: PackedSequence) -> list:
     """Suffix array of text + sentinel, sentinel treated as smallest.
 
-    Position n-1 (the sentinel-only suffix) always sorts first.
+    Position n-1 (the sentinel-only suffix) always sorts first.  Prefix
+    doubling: each round sorts the suffixes by their first 2h symbols,
+    keyed by the ranks of their two h-symbol halves, until every rank
+    differs (the sentinel is unique, so every suffix's rank does), in
+    O(n) ints per round.
     """
     if text.length == 0:
         raise EmptyText("cannot build a suffix array for an empty text")
-    ext = text.codes()
-    ext.append(-1)  # sentinel sorts below every real code
-    return sorted(range(len(ext)), key=lambda i: ext[i:])
+    rank = [c + 1 for c in text.codes()]
+    rank.append(0)  # the sentinel ranks below every real code
+    n = len(rank)
+    width = n + 5  # above every rank + 1, whose largest is max(4, n - 1) + 1
+    sa = list(range(n))
+    h = 1
+    while True:
+        # a second half past the end is empty, below every real rank
+        key = [rank[i] * width + (rank[i + h] + 1 if i + h < n else 0) for i in range(n)]
+        sa.sort(key=key.__getitem__)
+        r = 0  # the rank of sa[0], the sentinel, stays 0
+        for prev, cur in zip(sa, sa[1:]):
+            r += key[cur] != key[prev]
+            rank[cur] = r
+        if r == n - 1:
+            return sa
+        h <<= 1
 
 
 def bwt_from_suffix_array(text: PackedSequence, sa: list) -> Bwt:
@@ -71,9 +90,7 @@ def invert_bwt(bwt: Bwt) -> PackedSequence:
     """
     n = bwt.data.length
     occ = full_occ_table(bwt)
-    tally = bwt.data.count_range(0, n)
-    tally[A] -= 1  # sentinel slot is not a text A
-    c = CArray.from_tally(tally).counts
+    c = CArray.from_tally(occ[-1].tolist()).counts  # the last row excludes the sentinel
     out = []
     row = 0
     while row != bwt.dollar_pos and len(out) < n:

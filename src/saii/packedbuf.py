@@ -4,10 +4,11 @@ the leaf-blocked rope that construction inserts into.
 Symbol i occupies bits [2*(i % 4), 2*(i % 4) + 2) of byte i // 4,
 least-significant slot first.  Slots at indices >= length are kept zero
 so that the payload bytes of equal buffers compare equal.  `pack` writes
-this layout and `_planes` reads it.  `PackedBuffer` holds texts and
-queries (`saii.alphabet.PackedSequence` is the same class; a text keeps
-immutable `bytes`), rope leaves and the BWT (a `bytearray`, so they can
-take insertions).
+this layout and `_planes` reads it (`count_code`, the count behind
+every search step, reads it the same way inline).  `PackedBuffer` holds
+texts and queries (`saii.alphabet.PackedSequence` is the same class; a
+text keeps immutable `bytes`), rope leaves and the BWT (a `bytearray`,
+so they can take insertions).
 
 A run of packed bytes read as one little-endian Python int holds its
 codes as two bit planes: the low bit of each code at the even bit
@@ -95,12 +96,21 @@ class PackedBuffer:
         0 when the range is empty or reversed."""
         if stop <= start:
             return 0
-        low, high = _planes(self._buf, start, stop)
+        # `_planes` inline, one frame less per count; the range int x is
+        # released before both planes are live, so a count holds at most
+        # three range-sized ints at once
+        x = int.from_bytes(self._buf[start >> 2 : (stop + 3) >> 2], "little") >> ((start & 3) << 1)
+        x &= (1 << ((stop - start) << 1)) - 1
+        size, pairs = _PAIRS
+        if size << 2 < stop - start:
+            pairs = _grown_pairs((stop - start + 3) >> 2)
         if code == 3:
-            return (low & high).bit_count()
+            return (x & (x >> 1) & pairs).bit_count()
         if code == 0:
-            return stop - start - (low | high).bit_count()
-        return (high if code >> 1 else low).bit_count() - (low & high).bit_count()
+            return stop - start - ((x | (x >> 1)) & pairs).bit_count()
+        high = (x >> 1) & pairs
+        x &= pairs  # the low plane; the range int is released
+        return (high if code >> 1 else x).bit_count() - (x & high).bit_count()
 
     def payload(self) -> bytes:
         """The packed bytes holding symbols [0, length)."""

@@ -25,6 +25,8 @@ from saii.occtable import SampledOccTable
 from saii.packedbuf import PackedBuffer
 from saii.serialize import dumps_index, loads_index
 
+from helpers import record_count_reads
+
 texts = st.lists(st.integers(0, 3), min_size=1, max_size=64).map(PackedSequence.from_codes)
 
 
@@ -113,11 +115,10 @@ def occ_calls(monkeypatch):
     return calls
 
 
-def test_search_one_occ_count_per_step(occ_calls):
-    # a 32,768-bp index at k = 2,048 and 16-64 bp queries, half substrings
-    # and half random: the step anchors one count at low - 1, reads high
-    # from it, and makes a second count only for an interval wider than
-    # high's k-block (two counts on every step would be 2.0 per step)
+@pytest.fixture(scope="module")
+def ref_queries():
+    """A 32,768-bp index at k = 2,048 and 200 queries of 16-64 bp, half
+    substrings and half random."""
     rng = random.Random(21)
     codes = [rng.randrange(4) for _ in range(32_768)]
     index = construct.build(PackedSequence.from_codes(codes), k=2048)
@@ -129,6 +130,14 @@ def test_search_one_occ_count_per_step(occ_calls):
             queries.append(codes[start : start + m])
         else:
             queries.append([rng.randrange(4) for _ in range(m)])
+    return index, queries
+
+
+def test_search_one_occ_count_per_step(occ_calls, ref_queries):
+    # the step anchors one count at low - 1, reads high from it, and
+    # makes a second count only for an interval wider than half a
+    # k-block (two counts on every step would be 2.0 per step)
+    index, queries = ref_queries
     steps = in_search = empty_steps = 0
     for q in queries:
         occ_calls[0] = 0
@@ -146,6 +155,37 @@ def test_search_one_occ_count_per_step(occ_calls):
         assert interval == found
     assert empty_steps > steps // 4
     assert in_search / steps < 1.15
+
+
+def test_search_reads_at_most_half_a_block_per_count(ref_queries, monkeypatch):
+    # occ_count scans from the nearer checkpoint and a step scans its
+    # own rows only for an interval under half a block, so no count
+    # reads more than k // 2 = 1,024 symbols (n % k is 1 here); scanning
+    # forward from row i // k alone read about 1,000 symbols per step
+    index, queries = ref_queries
+    reads = record_count_reads(monkeypatch)
+    steps = 0
+    for q in queries:
+        search(index, PackedSequence.from_codes(q))
+        steps += len(q)
+    assert max(stop - start for start, stop in reads) <= index.k // 2
+    assert sum(stop - start for start, stop in reads if start < stop) / steps < 600
+
+
+def test_one_row_step_reads_its_symbol(monkeypatch):
+    # a one-row interval takes its new high from the row's own symbol,
+    # with no scan; the sentinel's row matches no code
+    index = oracle.full_index(encode_text("ACGCTTGACGTTAG"), k=4)
+    occ = oracle.full_occ_table(index.bwt)
+    reads = record_count_reads(monkeypatch)
+    for row in range(index.n):
+        for c in range(4):
+            calls = len(reads)
+            got = backward_extend(index, SearchRange(row, row), c)
+            assert len(reads) - calls == (row > 0)  # the anchored occ_count alone
+            hit = row != index.bwt.dollar_pos and index.bwt.data.code_at(row) == c
+            assert got.high - got.low + 1 == hit
+            assert got.high == index.c.counts[c] + int(occ[row][c])
 
 
 def test_count_examples():

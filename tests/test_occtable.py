@@ -8,6 +8,8 @@ from saii.alphabet import PackedSequence, encode_text
 from saii.errors import SaiiError
 from saii.occtable import SampledOccTable, occ_count
 
+from helpers import record_count_reads
+
 
 def make_bwt(text):
     """The oracle's BWT of `text`."""
@@ -29,6 +31,32 @@ def test_checkpoints_against_full_table():
                 assert occ_count(table, bwt, a, -1) == 0
                 for i in range(n):
                     assert occ_count(table, bwt, a, i) == int(full[i][a])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 2048])
+def test_occ_count_scans_from_the_nearer_checkpoint(k, monkeypatch):
+    # n ending on a checkpoint, one past it and mid-block: full blocks
+    # scan forward from row i // k up to its midpoint (ties included) and
+    # backward from the next row past it; a last partial block, with no
+    # next row, scans forward.  No scan is longer than max(k // 2, n % k).
+    rng = random.Random(k)
+    for n in (2 * k, 2 * k + 1, 2 * k + k // 2 + 1):
+        text = PackedSequence.from_codes([rng.randrange(4) for _ in range(n - 1)])
+        bwt = make_bwt(text)
+        full = oracle.full_occ_table(bwt)
+        table = SampledOccTable.build(bwt, k)
+        reads = record_count_reads(monkeypatch)
+        for a in range(4):
+            for i in range(n):
+                assert occ_count(table, bwt, a, i) == int(full[i][a]), (n, a, i)
+        assert max(stop - start for start, stop in reads) <= max(k // 2, n % k)
+        forward = sum(start % k == 0 and start < stop for start, stop in reads)
+        backward = sum(stop % k == 0 and start < stop for start, stop in reads)
+        if k == 1:
+            assert forward == backward == 0  # a row read, no scan
+        elif k > 2:  # at k = 2 a backward scan is empty
+            assert forward and backward
+        monkeypatch.undo()
 
 
 def test_block_sums_equal_k():

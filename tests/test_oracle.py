@@ -1,10 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from saii import oracle
+from saii import oracle, packedbuf
 from saii.alphabet import PackedSequence, decode, encode_text
 from saii.fmindex import Bwt
 from saii.packedbuf import PackedBuffer
@@ -31,6 +32,47 @@ def test_suffix_array_is_sorted_permutation():
         assert sa[0] == n - 1
         sufs = oracle.sorted_suffixes(text)
         assert all(sufs[i] < sufs[i + 1] for i in range(n - 1))
+
+
+def slice_sorted(codes) -> list:
+    """The suffix array by the definition: sort the suffix code slices."""
+    ext = codes + [-1]
+    return sorted(range(len(ext)), key=lambda i: ext[i:])
+
+
+def test_suffix_array_equals_slice_sort():
+    # every text of length 1-6, then seeded random texts up to 300
+    for length in range(1, 7):
+        for codes in itertools.product(range(4), repeat=length):
+            codes = list(codes)
+            assert oracle.suffix_array(PackedSequence.from_codes(codes)) == slice_sorted(codes)
+    rng = random.Random(4)
+    for _ in range(100):
+        codes = [rng.randrange(rng.randint(1, 4)) for _ in range(rng.randint(1, 300))]
+        assert oracle.suffix_array(PackedSequence.from_codes(codes)) == slice_sorted(codes)
+
+
+def test_suffix_array_memory_is_linear():
+    # a sort keyed by suffix slices holds n^2 / 2 list slots: 64.5 MB here
+    text = PackedSequence.from_codes([random.Random(3).randrange(4) for _ in range(4096)])
+    tracemalloc.start()
+    try:
+        oracle.suffix_array(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
+def test_oracle_counts_keep_the_pair_mask_small(monkeypatch):
+    # the count kernel's cached 01-pair mask grows to the longest range
+    # counted; the oracle's C array and LF walk count no range longer
+    # than a rope leaf (LEAF = 1,024 codes, 256 bytes), not n / 4 bytes
+    monkeypatch.setattr(packedbuf, "_PAIRS", (1, 0x55))
+    text = PackedSequence.from_codes([random.Random(14).randrange(4) for _ in range(8192)])
+    index = oracle.full_index(text, k=256)
+    assert oracle.invert_bwt(index.bwt) == text
+    assert packedbuf._PAIRS[0] <= 256
 
 
 def test_bwt_worked_example():
