@@ -93,6 +93,8 @@ def _locate_bad_step(text: PackedSequence, k: int, schedule: str) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1 or args.max_len < 1:
         raise InvalidParams(f"--trials and --max-len must be >= 1, got {args.trials} and {args.max_len}")
+    if args.exhaustive and args.input:
+        raise InvalidParams("--exhaustive checks every text up to --max-len and takes no input file")
     k = args.k
     failures = 0
     trials = 0

@@ -28,7 +28,7 @@ from itertools import accumulate
 from .alphabet import A, PackedSequence
 from .errors import EmptyText, IndexOutOfRange
 from .occtable import SampledOccTable, occ_count
-from .packedbuf import LEAF, PackedBuffer
+from .packedbuf import PackedBuffer
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -70,11 +70,7 @@ class CArray:
 def build_c_array(seq: PackedSequence) -> CArray:
     if seq.length < 1:
         raise EmptyText("C array needs at least one symbol")
-    # in chunks of at most LEAF symbols, like the rope's own counts, so
-    # the count kernel's cached mask does not grow to the text's length
-    n = seq.length
-    chunks = (seq.count_range(start, min(start + LEAF, n)) for start in range(0, n, LEAF))
-    return CArray.from_tally([sum(column) for column in zip(*chunks)])
+    return CArray.from_tally(seq.count_range(0, seq.length))
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +130,14 @@ def backward_extend(index: FmIndex, rng: SearchRange, code: int) -> SearchRange:
     holds `code`; when [low, high] spans fewer than k // 2 rows, it is
     that count plus a scan of the interval's rows, never longer than
     the scan of a second count.  Any other range makes the second count.
+    IndexOutOfRange unless code is in [0, 4), low in [0, n] and high in
+    [-1, n).
     """
+    n = index.n
+    if not 0 <= code < 4:
+        raise IndexOutOfRange(f"backward step for code {code} outside [0, 4)")
+    if not (0 <= rng.low <= n and -1 <= rng.high < n):
+        raise IndexOutOfRange(f"backward step from ({rng.low}, {rng.high}) outside [0, {n}] x [-1, {n})")
     return SearchRange(*_step(index, code, rng.low, rng.high))
 
 

@@ -4,11 +4,11 @@ the leaf-blocked rope that construction inserts into.
 Symbol i occupies bits [2*(i % 4), 2*(i % 4) + 2) of byte i // 4,
 least-significant slot first.  Slots at indices >= length are kept zero
 so that the payload bytes of equal buffers compare equal.  `pack` writes
-this layout and `_planes` reads it (`count_code`, the count behind
-every search step, reads it the same way inline).  `PackedBuffer` holds
-texts and queries (`saii.alphabet.PackedSequence` is the same class; a
-text keeps immutable `bytes`), rope leaves and the BWT (a `bytearray`,
-so they can take insertions).
+this layout, and `count_range` and `count_code` read it, each inline
+and the same way.  `PackedBuffer` holds texts and queries
+(`saii.alphabet.PackedSequence` is the same class; a text keeps
+immutable `bytes`), rope leaves and the BWT (a `bytearray`, so they can
+take insertions).
 
 A run of packed bytes read as one little-endian Python int holds its
 codes as two bit planes: the low bit of each code at the even bit
@@ -16,10 +16,14 @@ positions, the high bit at the odd ones.  An insertion shifts the int
 of the bytes from the insertion point on up by one slot.  A count
 (`count_range`, or `count_code` for one code) shifts the int of the
 bytes holding its range down to the range's first slot, keeps its
-2 * (stop - start) low bits and splits the two planes with one cached
-01-pair mask (doubled in length when a longer range arrives; `&`
-truncates it to the data), then counts each code from popcounts of the
-planes and the range's length (broadword rank: Vigna, WEA 2008).  `Rope`
+2 * (stop - start) low bits and splits the two planes with a 01-pair
+mask, then counts each code from popcounts of the planes and the
+range's length (broadword rank: Vigna, WEA 2008).  The mask is one
+fixed constant of 2,048 slots (512 bytes): the longest range a count
+makes at the default k = 2,048 is a checkpoint row, as a rope leaf
+holds at most `LEAF` = 1,024 symbols and a search reads at most k / 2.
+`&` truncates the mask to the data; a longer range makes its own mask
+and drops it on return, so no count leaves memory behind.  `Rope`
 keeps that shift inside one leaf of at most `LEAF` symbols, and finds
 and ranks a position in O(log(n / LEAF)) steps with Fenwick trees over
 its leaves (the ropebwt2 layout: Li, Bioinformatics 2014; Fenwick,
@@ -29,6 +33,8 @@ Software: Practice and Experience 1994).
 from __future__ import annotations
 
 LEAF = 1024  # most symbols a rope leaf holds; a multiple of 8
+_PAIR_SLOTS = 2048  # the longest range a count makes at the default k
+_PAIRS = ((1 << (_PAIR_SLOTS << 1)) - 1) // 3  # a 01 bit pair per slot
 
 
 class PackedBuffer:
@@ -85,9 +91,17 @@ class PackedBuffer:
         [0, 0, 0, 0] when the range is empty or reversed."""
         if stop <= start:
             return [0, 0, 0, 0]
-        low, high = _planes(self._buf, start, stop)
-        t = (low & high).bit_count()
-        c = low.bit_count() - t
+        # no local holds a length: ints above 256 are allocated, and one
+        # held across the planes would add to the allocation peak of every
+        # count; the range int x is released before both planes are live,
+        # so a count holds at most three range-sized ints at once
+        x = int.from_bytes(self._buf[start >> 2 : (stop + 3) >> 2], "little") >> ((start & 3) << 1)
+        x &= (1 << ((stop - start) << 1)) - 1
+        pairs = _PAIRS if stop - start <= _PAIR_SLOTS else ((1 << ((stop - start) << 1)) - 1) // 3
+        high = (x >> 1) & pairs
+        x &= pairs  # the low plane; the range int is released
+        t = (x & high).bit_count()
+        c = x.bit_count() - t
         g = high.bit_count() - t
         return [stop - start - c - g - t, c, g, t]
 
@@ -96,14 +110,10 @@ class PackedBuffer:
         0 when the range is empty or reversed."""
         if stop <= start:
             return 0
-        # `_planes` inline, one frame less per count; the range int x is
-        # released before both planes are live, so a count holds at most
-        # three range-sized ints at once
+        # the planes as in `count_range`
         x = int.from_bytes(self._buf[start >> 2 : (stop + 3) >> 2], "little") >> ((start & 3) << 1)
         x &= (1 << ((stop - start) << 1)) - 1
-        size, pairs = _PAIRS
-        if size << 2 < stop - start:
-            pairs = _grown_pairs((stop - start + 3) >> 2)
+        pairs = _PAIRS if stop - start <= _PAIR_SLOTS else ((1 << ((stop - start) << 1)) - 1) // 3
         if code == 3:
             return (x & (x >> 1) & pairs).bit_count()
         if code == 0:
@@ -233,32 +243,3 @@ def pack(codes, length: int) -> bytearray:
     for i, c in enumerate(codes):
         data[i >> 2] |= c << ((i & 3) << 1)
     return data
-
-
-_PAIRS = (1, 0x55)  # (bytes, mask): a 01 bit pair per slot of that many bytes
-
-
-def _grown_pairs(nbytes: int) -> int:
-    """A 01-pair mask of at least `nbytes` bytes, made by doubling the
-    cached one, which it replaces.  `&` truncates any longer mask to the
-    data, so every caller reads the same counts whatever its length."""
-    global _PAIRS
-    size = _PAIRS[0]
-    while size < nbytes:
-        size <<= 1
-    pairs = int.from_bytes(b"\x55" * size, "little")
-    _PAIRS = (size, pairs)
-    return pairs
-
-
-def _planes(data, start: int, stop: int) -> tuple:
-    """The low and high bit planes of exactly the codes [start, stop),
-    start < stop, of packed bytes `data`: code i of the range at bit 2i."""
-    # no local holds a length: ints above 256 are allocated, and one held
-    # across the planes would add to the allocation peak of every count
-    x = int.from_bytes(data[start >> 2 : (stop + 3) >> 2], "little") >> ((start & 3) << 1)
-    x &= (1 << ((stop - start) << 1)) - 1
-    size, pairs = _PAIRS
-    if size << 2 < stop - start:
-        pairs = _grown_pairs((stop - start + 3) >> 2)
-    return x & pairs, (x >> 1) & pairs

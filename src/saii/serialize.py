@@ -87,8 +87,8 @@ def _check_consistent(bwt: Bwt, c: CArray, k: int, rows: bytes) -> SampledOccTab
     occ = SampledOccTable.build(bwt, k)
     if occ.checkpoints().astype("<u8").tobytes() != rows:
         raise IndexFormatError("occurrence checkpoints disagree with the BWT")
-    # the last row tallies [0, (n // k) * k); counting only the tail past
-    # it keeps the packedbuf 01-pair mask at k / 4 bytes, not n / 4
+    # the last row already tallies the head [0, (n // k) * k), so only
+    # the tail past it is counted
     tally = (occ.checkpoints()[-1] + bwt.data.count_range((n // k) * k, n)).tolist()
     tally[A] -= 1  # sentinel slot is not a text A
     if c.counts != CArray.from_tally(tally).counts:

@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+import tracemalloc
+
 from saii.alphabet import SYMBOLS
 
 
@@ -24,3 +26,16 @@ def record_count_reads(monkeypatch) -> list:
 
     monkeypatch.setattr(PackedBuffer, "count_code", logged)
     return reads
+
+
+def traced(call) -> tuple:
+    """(call(), bytes traced as still held once it returns, peak bytes
+    traced while it ran), both counted from where tracing began."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - before, peak - before

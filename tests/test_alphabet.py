@@ -1,5 +1,4 @@
 import pickle
-import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -7,6 +6,8 @@ from hypothesis import strategies as st
 
 from saii.alphabet import PackedSequence, decode, encode_text
 from saii.errors import EmptyText, InvalidCharacter
+
+from helpers import traced
 
 acgt = st.text(alphabet="ACGT", min_size=1, max_size=64)
 
@@ -73,12 +74,7 @@ def test_encode_text_streams():
     # packing must not materialize a per-character intermediate
     text = "ACGT" * 1024
     encode_text(text)  # warm any lazily created objects
-    tracemalloc.start()
-    try:
-        encode_text(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: encode_text(text))
     assert peak < len(text)
 
 

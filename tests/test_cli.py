@@ -218,6 +218,16 @@ def test_verify_file_input(tmp_path, capsys):
     assert "2/2 passed" in capsys.readouterr().out
 
 
+def test_verify_exhaustive_rejects_input_file(tmp_path, capsys):
+    # --exhaustive checks generated texts; with a file it used to pass
+    # without reading it
+    src = tmp_path / "bad.fa"
+    src.write_text(">x\nACGTNN\n")
+    assert main(["verify", str(src), "--exhaustive", "--max-len", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --exhaustive")
+
+
 def test_bench_model_csv(capsys):
     assert main(["bench", "--lengths", "131072", "--mode", "model"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

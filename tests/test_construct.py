@@ -1,6 +1,5 @@
 import copy
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +12,7 @@ from saii.fmindex import first_mismatch, search
 from saii.occtable import SampledOccTable
 from saii.packedbuf import PackedBuffer
 
-from helpers import decode_with_sentinel
+from helpers import decode_with_sentinel, traced
 
 
 def random_text(rng, max_len, min_len=1):
@@ -245,15 +244,14 @@ def test_rope_memory_bound(monkeypatch):
 def held_by_build(codes, k) -> tuple:
     """(bytes traced as held by the state after the last standard step,
     the spent state's index)."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def steps():
         state = construct.init_state(k)
         for code in reversed(codes):
             construct.step(state, code)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+        return state
+
+    state, held, _ = traced(steps)
     return held, state.as_index()
 
 

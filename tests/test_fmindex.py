@@ -101,6 +101,20 @@ def test_backward_extend_is_the_two_count_recurrence():
     assert dollar_steps and wide_gaps
 
 
+def test_backward_extend_rejects_steps_outside_the_index():
+    # just outside the domain the recurrence test sweeps: code -1 read
+    # the T column as a list index and gave (11, 14), code 4 a bare
+    # IndexError
+    index = construct.build(encode_text("ACGCTTGACGTTAG"), k=4)
+    n = index.n
+    bad = [((0, n - 1), c) for c in (-1, 4)]
+    bad += [((low, n - 1), 0) for low in (-1, n + 1)]
+    bad += [((0, high), 0) for high in (-2, n)]
+    for (low, high), code in bad:
+        with pytest.raises(IndexOutOfRange):
+            backward_extend(index, SearchRange(low, high), code)
+
+
 @pytest.fixture
 def occ_calls(monkeypatch):
     """A one-item list counting the occ_count calls fmindex makes."""

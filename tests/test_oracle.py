@@ -1,16 +1,15 @@
 import itertools
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from saii import oracle, packedbuf
+from saii import oracle
 from saii.alphabet import PackedSequence, decode, encode_text
 from saii.fmindex import Bwt
 from saii.packedbuf import PackedBuffer
 
-from helpers import decode_with_sentinel
+from helpers import decode_with_sentinel, traced
 
 
 def test_suffix_array_worked_example():
@@ -55,24 +54,8 @@ def test_suffix_array_equals_slice_sort():
 def test_suffix_array_memory_is_linear():
     # a sort keyed by suffix slices holds n^2 / 2 list slots: 64.5 MB here
     text = PackedSequence.from_codes([random.Random(3).randrange(4) for _ in range(4096)])
-    tracemalloc.start()
-    try:
-        oracle.suffix_array(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: oracle.suffix_array(text))
     assert peak < 2 * 1024 * 1024
-
-
-def test_oracle_counts_keep_the_pair_mask_small(monkeypatch):
-    # the count kernel's cached 01-pair mask grows to the longest range
-    # counted; the oracle's C array and LF walk count no range longer
-    # than a rope leaf (LEAF = 1,024 codes, 256 bytes), not n / 4 bytes
-    monkeypatch.setattr(packedbuf, "_PAIRS", (1, 0x55))
-    text = PackedSequence.from_codes([random.Random(14).randrange(4) for _ in range(8192)])
-    index = oracle.full_index(text, k=256)
-    assert oracle.invert_bwt(index.bwt) == text
-    assert packedbuf._PAIRS[0] <= 256
 
 
 def test_bwt_worked_example():

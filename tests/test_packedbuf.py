@@ -1,12 +1,16 @@
 import random
-import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saii import packedbuf
+from saii import construct, oracle, packedbuf
 from saii.packedbuf import PackedBuffer, Rope, pack
+from saii.serialize import dumps_index, loads_index
+from saii.textgen import random_sequence
+
+from helpers import traced
 
 codes_lists = st.lists(st.integers(0, 3), max_size=300)
 
@@ -67,21 +71,11 @@ def test_insert_path_boundaries():
             assert buf.payload() == pack(model, len(model)), (n, tail)
 
 
-def peak_bytes(op) -> int:
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        op()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_count_code_allocation():
     # one occ_count scan at the default k = 2048; the byte-value
     # histogram this replaced allocated 6.5 KB
     buf = PackedBuffer.from_codes([i % 4 for i in range(4096)])
-    assert peak_bytes(lambda: buf.count_code(2, 1, 2048)) < 4096
+    assert traced(lambda: buf.count_code(2, 1, 2048))[2] < 4096
 
 
 def test_int_insert_allocation_bounded_by_threshold():
@@ -95,8 +89,8 @@ def test_int_insert_allocation_bounded_by_threshold():
         assert bound < n // 4
         buf = PackedBuffer.from_codes([i % 4 for i in range(n)])
         moved = (n % 4 == 0) * 5 * (n // 4) // 4
-        assert peak_bytes(lambda: buf.insert(n - 4095, 1)) < bound + moved
-        assert peak_bytes(lambda: buf.insert(n - 4095, 1)) < bound
+        assert traced(lambda: buf.insert(n - 4095, 1))[2] < bound + moved
+        assert traced(lambda: buf.insert(n - 4095, 1))[2] < bound
 
 
 def test_unused_slots_stay_zero():
@@ -119,19 +113,41 @@ def test_count_range_matches_list_model(codes, data):
         assert buf.count_code(a, start, stop) == counts[a]
 
 
-def test_count_long_ranges(monkeypatch):
-    # short ranges, a 10,000-symbol one that doubles the cached 01-pair
-    # mask from one byte, then short ones again under the longer mask
-    monkeypatch.setattr(packedbuf, "_PAIRS", (1, 0x55))
+def test_count_long_ranges():
+    # short ranges, ranges on either side of the 2,048-slot 01-pair mask
+    # at mid-byte starts, a 10,000-symbol one that makes its own mask,
+    # then short ones again
     rng = random.Random(11)
     codes = [rng.randrange(4) for _ in range(10_003)]
     buf = PackedBuffer.from_codes(codes)
     short = [(130, 131), (500, 500), (1, 4095), (3, 3001), (0, 4096)]
-    for start, stop in short + [(2, 10_002)] + short:
+    edge = [(start, start + length) for start in (1, 2, 3, 4097) for length in (2047, 2048, 2049)]
+    for start, stop in short + edge + [(2, 10_002)] + short:
         counts = buf.count_range(start, stop)
         assert counts == [codes[start:stop].count(a) for a in range(4)]
         assert [buf.count_code(a, start, stop) for a in range(4)] == counts
-    assert packedbuf._PAIRS[0] == 4096
+
+
+def test_counts_leave_no_memory_behind():
+    # the count kernel keeps no state: a count of 40,000 symbols, longer
+    # than any other test makes, the oracle's whole-text counts and a
+    # load's checks all return memory to where it was
+    rng = random.Random(14)
+    codes = [rng.randrange(4) for _ in range(40_000)]
+    buf = PackedBuffer.from_codes(codes)
+    tally = [codes[1:39_999].count(a) for a in range(4)]
+    text = random_sequence(np.random.default_rng(14), 8192)
+    index = construct.build(text, k=256)
+    blob = dumps_index(index)
+
+    def counts():
+        long_ok = buf.count_range(1, 39_999) == tally and buf.count_code(2, 1, 39_999) == tally[2]
+        bwt = oracle.full_index(text, k=256).bwt
+        return long_ok, oracle.invert_bwt(bwt) == text, loads_index(blob) == index
+
+    checks, held, _ = traced(counts)
+    assert checks == (True, True, True)
+    assert held < 1024
 
 
 def test_count_bytes_and_bytearray_match():

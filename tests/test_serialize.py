@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from saii import construct, oracle, packedbuf
+from saii import construct, oracle
 from saii.alphabet import encode_text
 from saii.errors import IndexFormatError
 from saii.fmindex import count, first_mismatch
@@ -32,16 +32,6 @@ def test_canonical_bytes():
         k = int(rng.choice([1, 2, 7, 16, 2048]))
         blob = dumps_index(construct.build(text, k=k))
         assert dumps_index(loads_index(blob)) == blob
-
-
-def test_load_counts_no_range_longer_than_a_leaf(monkeypatch):
-    # the cached 01-pair mask grows to the longest range counted: a build
-    # ranks within leaves of LEAF = 1,024 codes (256 bytes) and a load
-    # tallies k-blocks, so neither may count the whole 8,193-code BWT
-    monkeypatch.setattr(packedbuf, "_PAIRS", (1, 0x55))
-    index = construct.build(random_sequence(np.random.default_rng(14), 8192), k=256)
-    assert loads_index(dumps_index(index)) == index
-    assert packedbuf._PAIRS[0] == 256
 
 
 def test_every_single_byte_corruption_detected():
