@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from saii import oracle
+from saii import oracle, packedbuf
 from saii.alphabet import PackedSequence, decode, encode_text
 from saii.fmindex import Bwt
 from saii.packedbuf import PackedBuffer
@@ -56,6 +56,20 @@ def test_suffix_array_memory_is_linear():
     text = PackedSequence.from_codes([random.Random(3).randrange(4) for _ in range(4096)])
     _, _, peak = traced(lambda: oracle.suffix_array(text))
     assert peak < 2 * 1024 * 1024
+
+
+def test_oracle_counts_keep_the_pair_mask_small():
+    # the oracle's C array counts the whole 8,193-code BWT, four times
+    # the count kernel's fixed 01-pair mask: that count makes its own
+    # mask and drops it, so the kept one stays 2,048 slots and the
+    # counts hold no memory once they return
+    mask = packedbuf._PAIRS
+    text = PackedSequence.from_codes([random.Random(14).randrange(4) for _ in range(8192)])
+    oracle.invert_bwt(oracle.full_index(text, k=256).bwt)  # warm any lazily created objects
+    inverts, held, _ = traced(lambda: oracle.invert_bwt(oracle.full_index(text, k=256).bwt) == text)
+    assert inverts
+    assert packedbuf._PAIRS is mask and mask.bit_length() == 2 * packedbuf._PAIR_SLOTS - 1
+    assert held < 1024
 
 
 def test_bwt_worked_example():

@@ -1,14 +1,11 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saii import construct, oracle, packedbuf
+from saii import packedbuf
 from saii.packedbuf import PackedBuffer, Rope, pack
-from saii.serialize import dumps_index, loads_index
-from saii.textgen import random_sequence
 
 from helpers import traced
 
@@ -130,23 +127,17 @@ def test_count_long_ranges():
 
 def test_counts_leave_no_memory_behind():
     # the count kernel keeps no state: a count of 40,000 symbols, longer
-    # than any other test makes, the oracle's whole-text counts and a
-    # load's checks all return memory to where it was
+    # than any other test makes, returns memory to where it was
     rng = random.Random(14)
     codes = [rng.randrange(4) for _ in range(40_000)]
     buf = PackedBuffer.from_codes(codes)
     tally = [codes[1:39_999].count(a) for a in range(4)]
-    text = random_sequence(np.random.default_rng(14), 8192)
-    index = construct.build(text, k=256)
-    blob = dumps_index(index)
 
     def counts():
-        long_ok = buf.count_range(1, 39_999) == tally and buf.count_code(2, 1, 39_999) == tally[2]
-        bwt = oracle.full_index(text, k=256).bwt
-        return long_ok, oracle.invert_bwt(bwt) == text, loads_index(blob) == index
+        return buf.count_range(1, 39_999) == tally and buf.count_code(2, 1, 39_999) == tally[2]
 
-    checks, held, _ = traced(counts)
-    assert checks == (True, True, True)
+    long_ok, held, _ = traced(counts)
+    assert long_ok
     assert held < 1024
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from saii import construct, oracle
+from saii.packedbuf import LEAF, PackedBuffer
 from saii.alphabet import encode_text
 from saii.errors import IndexFormatError
 from saii.fmindex import count, first_mismatch
@@ -32,6 +33,29 @@ def test_canonical_bytes():
         k = int(rng.choice([1, 2, 7, 16, 2048]))
         blob = dumps_index(construct.build(text, k=k))
         assert dumps_index(loads_index(blob)) == blob
+
+
+def test_load_counts_no_range_longer_than_a_leaf(monkeypatch):
+    # a build ranks within leaves of LEAF = 1,024 codes and a load
+    # tallies k-blocks, so neither counts the whole 8,193-code BWT
+    ranges = []
+    count_range, count_code = PackedBuffer.count_range, PackedBuffer.count_code
+
+    def logged_range(self, start, stop):
+        ranges.append(stop - start)
+        return count_range(self, start, stop)
+
+    def logged_code(self, code, start, stop):
+        ranges.append(stop - start)
+        return count_code(self, code, start, stop)
+
+    monkeypatch.setattr(PackedBuffer, "count_range", logged_range)
+    monkeypatch.setattr(PackedBuffer, "count_code", logged_code)
+    index = construct.build(random_sequence(np.random.default_rng(14), 8192), k=256)
+    assert ranges and max(ranges) <= LEAF
+    ranges.clear()
+    assert loads_index(dumps_index(index)) == index
+    assert ranges and max(ranges) <= index.k
 
 
 def test_every_single_byte_corruption_detected():
