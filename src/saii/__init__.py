@@ -9,7 +9,7 @@ bench`).
 """
 
 from .alphabet import PackedSequence, decode, encode_text
-from .construct import DEFAULT_K, SaiiState, build
+from .construct import DEFAULT_K, build
 from .errors import (
     CapacityExceeded,
     EmptyText,
@@ -25,7 +25,6 @@ from .fmindex import (
     FmIndex,
     SearchRange,
     backward_extend,
-    build_c_array,
     count,
     first_mismatch,
     occ_query,
@@ -52,12 +51,10 @@ __all__ = [
     "InvalidParams",
     "PackedSequence",
     "SaiiError",
-    "SaiiState",
     "SampledOccTable",
     "SearchRange",
     "backward_extend",
     "build",
-    "build_c_array",
     "count",
     "decode",
     "dump_index",

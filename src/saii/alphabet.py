@@ -16,7 +16,6 @@ from .packedbuf import PackedBuffer, pack
 
 A, C, G, T = 0, 1, 2, 3
 SYMBOLS = "ACGT"
-N_SYMBOLS = 4
 
 _CODE_OF = {}
 for _i, _ch in enumerate(SYMBOLS):

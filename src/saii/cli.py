@@ -18,7 +18,11 @@ from .errors import InvalidParams, SaiiError
 from .fasta import read_sequences
 from .fmindex import first_mismatch, search
 from .serialize import dumps_index, load_index
-from .textgen import random_sequence
+
+
+def _random_sequence(rng: np.random.Generator, length: int) -> PackedSequence:
+    """Uniform ACGT sequence of exactly `length` symbols."""
+    return PackedSequence.from_codes(rng.integers(0, 4, size=length, dtype=np.uint8).tolist())
 
 
 def _build_record(job):
@@ -119,7 +123,7 @@ def cmd_verify(args) -> int:
         else:
             rng = np.random.default_rng(args.seed)
             texts = [
-                random_sequence(rng, int(rng.integers(1, args.max_len + 1)))
+                _random_sequence(rng, int(rng.integers(1, args.max_len + 1)))
                 for _ in range(args.trials)
             ]
         for t, text in enumerate(texts):
@@ -150,7 +154,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     measured = {}
     for n in lengths:
-        text = random_sequence(rng, n)
+        text = _random_sequence(rng, n)
         started = time.perf_counter()
         construct.build(text, k=args.k)
         measured[n] = time.perf_counter() - started

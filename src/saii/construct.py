@@ -104,7 +104,9 @@ def prefetch_step(state: SaiiState, code: int) -> int:
         # the sentinel is in the rope: overwrite its slot
         rope.set(j, off, A, code)  # the sentinel slot held raw A
         state.pending = True
-    state.c.add_symbol(code)
+    counts = state.c.counts
+    for b in range(code + 1, 4):
+        counts[b] += 1  # one more text symbol smaller than b
     state.q = q_new
     return q_new
 

@@ -60,18 +60,6 @@ class CArray:
         """C of a text whose per-code symbol counts are `tally`."""
         return cls(list(accumulate(tally[:3], initial=0)))
 
-    def add_symbol(self, code: int) -> None:
-        """Account for one more text symbol `code`."""
-        counts = self.counts
-        for b in range(code + 1, 4):
-            counts[b] += 1
-
-
-def build_c_array(seq: PackedSequence) -> CArray:
-    if seq.length < 1:
-        raise EmptyText("C array needs at least one symbol")
-    return CArray.from_tally(seq.count_range(0, seq.length))
-
 
 @dataclass(frozen=True, slots=True)
 class SearchRange:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .alphabet import A, PackedSequence
 from .errors import EmptyText
-from .fmindex import Bwt, CArray, FmIndex, build_c_array
+from .fmindex import Bwt, CArray, FmIndex
 from .occtable import SampledOccTable
 from .packedbuf import PackedBuffer
 
@@ -76,10 +76,13 @@ def full_occ_table(bwt: Bwt) -> np.ndarray:
 
 
 def full_index(text: PackedSequence, k: int = 2048) -> FmIndex:
-    """Reference FM-index, its BWT read off the suffix array; occ
-    materialized at any k (k = 1 gives a checkpoint per position)."""
+    """Reference FM-index, its BWT read off the suffix array and C from
+    a tally of the text; occ materialized at any k (k = 1 gives a
+    checkpoint per position)."""
     bwt = bwt_from_suffix_array(text, suffix_array(text))
-    return FmIndex(bwt=bwt, c=build_c_array(text), occ=SampledOccTable.build(bwt, k))
+    codes = text.codes()
+    c = CArray.from_tally([codes.count(a) for a in range(4)])
+    return FmIndex(bwt=bwt, c=c, occ=SampledOccTable.build(bwt, k))
 
 
 def invert_bwt(bwt: Bwt) -> PackedSequence:

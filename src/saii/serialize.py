@@ -16,17 +16,22 @@ Little-endian throughout:
 The CRC is verified before anything is parsed, so any single corrupted
 byte fails the load.  A file with a valid CRC must also be one that a
 build could have written: only flag bit 0 may be set, the sentinel slot
-reads as A, the padding bits are zero, and C and every checkpoint row
-agree with the BWT.  The load tallies the one checkpoint table the index
-keeps from the BWT and requires the file's rows to match it byte for
-byte.  Serialization is canonical: load followed by dump reproduces the
-input byte for byte.
+reads as A, the padding bits are zero, C and every checkpoint row agree
+with the BWT, and the last-to-first (LF) walk from row 0 passes through
+all n rows before it returns, so the BWT is that of some text.  The load
+tallies the one checkpoint table the index keeps from the BWT and
+requires the file's rows to match it byte for byte.  So a file loads
+only if a build of some text at its k writes those bytes, the prefetch
+flag aside.  Serialization is canonical: load followed by dump
+reproduces the input byte for byte.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+
+import numpy as np
 
 from .alphabet import A
 from .errors import IndexFormatError
@@ -78,7 +83,8 @@ def loads_index(blob: bytes) -> FmIndex:
 
 def _check_consistent(bwt: Bwt, c: CArray, k: int, rows: bytes) -> SampledOccTable:
     """The occurrence table of `bwt`; IndexFormatError unless the file's
-    checkpoint `rows` and `c` agree with the BWT."""
+    checkpoint `rows` and `c` agree with the BWT and the BWT is one LF
+    cycle of all its n rows."""
     n = bwt.data.length
     if bwt.data.code_at(bwt.dollar_pos) != A:
         raise IndexFormatError("sentinel slot does not read as A")
@@ -93,6 +99,21 @@ def _check_consistent(bwt: Bwt, c: CArray, k: int, rows: bytes) -> SampledOccTab
     tally[A] -= 1  # sentinel slot is not a text A
     if c.counts != CArray.from_tally(tally).counts:
         raise IndexFormatError("C array disagrees with the BWT")
+    # the j-th row holding code a steps to C[a] + j + 1, the sentinel's
+    # row to 0; with C checked this is a permutation, so the walk ends
+    packed = np.frombuffer(bwt.payload(), dtype=np.uint8)
+    codes = ((packed[:, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3).reshape(-1)[:n]
+    codes[bwt.dollar_pos] = 4  # the sentinel's slot is not a text A
+    lf = np.zeros(n, dtype=np.int64)
+    for a in range(4):
+        at = np.flatnonzero(codes == a)
+        lf[at] = np.arange(c.counts[a] + 1, c.counts[a] + 1 + len(at))
+    lf = lf.tolist()
+    row, steps = lf[0], 1
+    while row:
+        row, steps = lf[row], steps + 1
+    if steps != n:
+        raise IndexFormatError(f"BWT is not one LF cycle: row 0 recurs after {steps} of {n} rows")
     return occ
 
 

@@ -30,7 +30,8 @@ def test_invalid_character_position():
 
 
 def test_invalid_character_pickles():
-    # worker processes of a multi-record build send it back pickled
+    # the package's own pool re-raises every error as a plain SaiiError
+    # naming the record, but a caller's process pool sends it back pickled
     err = pickle.loads(pickle.dumps(InvalidCharacter(3, "N")))
     assert (err.position, err.char) == (3, "N")
     assert str(err) == "invalid character 'N' at position 3"

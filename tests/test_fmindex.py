@@ -15,7 +15,6 @@ from saii.fmindex import (
     CArray,
     SearchRange,
     backward_extend,
-    build_c_array,
     count,
     first_mismatch,
     occ_query,
@@ -30,17 +29,24 @@ from helpers import record_count_reads
 texts = st.lists(st.integers(0, 3), min_size=1, max_size=64).map(PackedSequence.from_codes)
 
 
+def built_c(text: PackedSequence) -> list:
+    """C as a build keeps it, step by step; it must equal the oracle's tally."""
+    counts = construct.build(text, k=4).c.counts
+    assert counts == oracle.full_index(text, k=4).c.counts
+    return counts
+
+
 def test_c_array_examples():
-    assert build_c_array(encode_text("ACGCTTG")).counts == [0, 1, 3, 5]
-    assert build_c_array(encode_text("AAAA")).counts == [0, 4, 4, 4]
-    assert build_c_array(encode_text("T")).counts == [0, 0, 0, 0]
+    assert built_c(encode_text("ACGCTTG")) == [0, 1, 3, 5]
+    assert built_c(encode_text("AAAA")) == [0, 4, 4, 4]
+    assert built_c(encode_text("T")) == [0, 0, 0, 0]
 
 
 def test_c_array_invariants():
     rng = random.Random(9)
     for _ in range(100):
         codes = [rng.randrange(4) for _ in range(rng.randint(1, 100))]
-        c = build_c_array(PackedSequence.from_codes(codes)).counts
+        c = built_c(PackedSequence.from_codes(codes))
         assert c[0] == 0
         assert all(c[a] <= c[a + 1] for a in range(3))
         assert c[3] <= len(codes)

@@ -40,7 +40,7 @@ def test_insert_matches_list_model(codes, code, data):
     assert buf.codes() == model
 
 
-def test_insert_int_and_vector_paths_match_list_model():
+def test_long_tail_inserts_match_list_model():
     # long tails, up to the whole 5,000-symbol buffer
     rng = random.Random(7)
     codes = [rng.randrange(4) for _ in range(5000)]
@@ -75,7 +75,7 @@ def test_count_code_allocation():
     assert traced(lambda: buf.count_code(2, 1, 2048))[2] < 4096
 
 
-def test_int_insert_allocation_bounded_by_threshold():
+def test_insert_allocation_bounded_by_tail():
     # an insertion holds a few copies of the tail's packed bytes (1 KB
     # here), never of the buffer's 16 KB, while the last byte has a free
     # slot; when it is full, the one-byte growth may also move the buffer

@@ -6,11 +6,10 @@ import pytest
 
 from saii import construct, oracle
 from saii.packedbuf import LEAF, PackedBuffer
-from saii.alphabet import encode_text
+from saii.alphabet import PackedSequence, encode_text
 from saii.errors import IndexFormatError
 from saii.fmindex import count, first_mismatch
 from saii.serialize import dump_index, dumps_index, load_index, loads_index
-from saii.textgen import random_sequence
 
 
 def test_roundtrip_fields():
@@ -29,7 +28,7 @@ def test_prefetch_flag_survives():
 def test_canonical_bytes():
     rng = np.random.default_rng(123)
     for _ in range(25):
-        text = random_sequence(rng, int(rng.integers(1, 200)))
+        text = PackedSequence.from_codes(rng.integers(0, 4, size=int(rng.integers(1, 200))).tolist())
         k = int(rng.choice([1, 2, 7, 16, 2048]))
         blob = dumps_index(construct.build(text, k=k))
         assert dumps_index(loads_index(blob)) == blob
@@ -51,7 +50,8 @@ def test_load_counts_no_range_longer_than_a_leaf(monkeypatch):
 
     monkeypatch.setattr(PackedBuffer, "count_range", logged_range)
     monkeypatch.setattr(PackedBuffer, "count_code", logged_code)
-    index = construct.build(random_sequence(np.random.default_rng(14), 8192), k=256)
+    text = PackedSequence.from_codes(np.random.default_rng(14).integers(0, 4, size=8192).tolist())
+    index = construct.build(text, k=256)
     assert ranges and max(ranges) <= LEAF
     ranges.clear()
     assert loads_index(dumps_index(index)) == index
@@ -109,6 +109,56 @@ def test_forged_field_rejected(edit, message):
     loads_index(_forge(blob, lambda body: None))  # the forging alone keeps a file valid
     with pytest.raises(IndexFormatError, match=message):
         loads_index(_forge(blob, edit))
+
+
+def _loads_as_its_own_text(blob: bytes) -> bool:
+    """False if the load rejects `blob`; True if it loads to the oracle
+    index of the text its BWT spells.  Anything else fails the test."""
+    try:
+        loaded = loads_index(blob)
+    except IndexFormatError:
+        return False
+    assert loaded == oracle.full_index(oracle.invert_bwt(loaded.bwt), k=4)
+    return True
+
+
+@pytest.mark.parametrize(
+    "seq, swaps, broken", [("ACGCTTGACGTTAG", 12, 9), ("GATTACAGATTACACCGT", 16, 15)]
+)
+def test_in_block_swaps_that_break_the_lf_cycle_rejected(seq, swaps, broken):
+    # swapping two different symbols inside one k = 4 block leaves C and
+    # every checkpoint row valid; only the LF cycle can tell
+    index = construct.build(encode_text(seq), k=4)
+    blob = dumps_index(index)
+    codes, dollar = index.bwt.data.codes(), index.bwt.dollar_pos
+    tried = rejected = 0
+    for i in range(len(codes)):
+        for j in range(i + 1, len(codes)):
+            if i // 4 != j // 4 or dollar in (i, j) or codes[i] == codes[j]:
+                continue
+            swapped = codes[:]
+            swapped[i], swapped[j] = codes[j], codes[i]
+            payload = PackedBuffer.from_codes(swapped).payload()
+
+            def write_bwt(body, payload=payload):
+                body[60 : 60 + len(payload)] = payload
+
+            tried += 1
+            rejected += not _loads_as_its_own_text(_forge(blob, write_bwt))
+    assert (tried, rejected) == (swaps, broken)
+
+
+def test_every_bwt_byte_value_rejected_or_a_valid_index():
+    blob = dumps_index(construct.build(encode_text("ACGCTTGACGTTAG"), k=4))
+    loaded = 0
+    for pos in range(60, 64):  # n = 15: the BWT is bytes 60..63
+        for value in range(256):
+
+            def write_byte(body, pos=pos, value=value):
+                body[pos] = value
+
+            loaded += _loads_as_its_own_text(_forge(blob, write_byte))
+    assert loaded == 8  # the unedited file once per byte, and four BWTs of other texts
 
 
 def test_truncated_file_rejected():
