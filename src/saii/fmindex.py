@@ -15,9 +15,9 @@ paired lookup `bwt_2occ` (Li & Durbin, Bioinformatics 2009): an empty
 interval stays empty with no second count, a one-row interval adds its
 row's own symbol, and an interval of under half a k-block adds a scan
 of its own rows.  Only a wider interval makes the second count,
-O(c, high).  Every count reads from the checkpoint nearer to its
-position (`saii.occtable.occ_count`), so no count a search makes scans
-more than max(k // 2, n mod k) symbols.
+O(c, high).  Every count reads one tally and one 32-symbol word of the
+rank directory (`saii.occtable.occ_count`), so the only symbols a search
+scans are those of intervals under half a k-block.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def backward_extend(index: FmIndex, rng: SearchRange, code: int) -> SearchRange:
     high == low - 1 the new interval is empty too, with no second count;
     when high == low, O(code, high) is that count plus one if the row
     holds `code`; when [low, high] spans fewer than k // 2 rows, it is
-    that count plus a scan of the interval's rows, never longer than
-    the scan of a second count.  Any other range makes the second count.
+    that count plus a scan of the interval's rows.  Any other range
+    makes the second count.
     IndexOutOfRange unless code is in [0, 4), low in [0, n] and high in
     [-1, n).
     """

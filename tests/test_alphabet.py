@@ -1,10 +1,11 @@
 import pickle
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from saii.alphabet import PackedSequence, decode, encode_text
+from saii.alphabet import SYMBOLS, PackedSequence, decode, encode_text
 from saii.errors import EmptyText, InvalidCharacter
 
 from helpers import traced
@@ -77,6 +78,25 @@ def test_encode_text_streams():
     encode_text(text)  # warm any lazily created objects
     _, _, peak = traced(lambda: encode_text(text))
     assert peak < len(text)
+
+
+def test_encode_text_equals_from_codes_across_chunk_edges():
+    # texts shorter than one 128-character chunk and on either side of
+    # its edge, in both cases; a bad character just before or just after
+    # the edge is reported at its own position, the first one winning
+    rng = random.Random(19)
+    for n in [*range(1, 10), 127, 128, 129, 255, 256, 257]:
+        codes = [rng.randrange(4) for _ in range(n)]
+        text = "".join(rng.choice((ch, ch.lower())) for ch in (SYMBOLS[c] for c in codes))
+        assert encode_text(text) == PackedSequence.from_codes(codes), n
+        for pos in {0, n - 1, 126, 127, 128} & set(range(n)):
+            for bad in "N?é-\x00":
+                broken = text[:pos] + bad + text[pos + 1 :] + bad
+                with pytest.raises(InvalidCharacter) as err:
+                    encode_text(broken)
+                assert (err.value.position, err.value.char) == (pos, bad)
+                substituted = codes[:pos] + [0] + codes[pos + 1 :] + [0]
+                assert encode_text(broken, substitute=True) == PackedSequence.from_codes(substituted)
 
 
 def test_suffix_and_code_at():

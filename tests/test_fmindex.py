@@ -178,10 +178,10 @@ def test_search_one_occ_count_per_step(occ_calls, ref_queries):
 
 
 def test_search_reads_at_most_half_a_block_per_count(ref_queries, monkeypatch):
-    # occ_count scans from the nearer checkpoint and a step scans its
-    # own rows only for an interval under half a block, so no count
-    # reads more than k // 2 = 1,024 symbols (n % k is 1 here); scanning
-    # forward from row i // k alone read about 1,000 symbols per step
+    # occ_count reads the rank directory and a step scans its own rows
+    # only for an interval under half a block, so no count reads more
+    # than k // 2 = 1,024 symbols; scanning forward from row i // k
+    # alone read about 1,000 symbols per step
     index, queries = ref_queries
     reads = record_count_reads(monkeypatch)
     steps = 0
@@ -194,7 +194,8 @@ def test_search_reads_at_most_half_a_block_per_count(ref_queries, monkeypatch):
 
 def test_one_row_step_reads_its_symbol(monkeypatch):
     # a one-row interval takes its new high from the row's own symbol,
-    # with no scan; the sentinel's row matches no code
+    # with no scan, and the anchored occ_count reads the rank directory;
+    # the sentinel's row matches no code
     index = oracle.full_index(encode_text("ACGCTTGACGTTAG"), k=4)
     occ = oracle.full_occ_table(index.bwt)
     reads = record_count_reads(monkeypatch)
@@ -202,7 +203,7 @@ def test_one_row_step_reads_its_symbol(monkeypatch):
         for c in range(4):
             calls = len(reads)
             got = backward_extend(index, SearchRange(row, row), c)
-            assert len(reads) - calls == (row > 0)  # the anchored occ_count alone
+            assert len(reads) == calls
             hit = row != index.bwt.dollar_pos and index.bwt.data.code_at(row) == c
             assert got.high - got.low + 1 == hit
             assert got.high == index.c.counts[c] + int(occ[row][c])

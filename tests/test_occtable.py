@@ -7,6 +7,7 @@ from saii import construct, oracle
 from saii.alphabet import PackedSequence, encode_text
 from saii.errors import SaiiError
 from saii.occtable import SampledOccTable, occ_count
+from saii.serialize import dumps_index, loads_index
 
 from helpers import record_count_reads
 
@@ -34,29 +35,36 @@ def test_checkpoints_against_full_table():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 2048])
-def test_occ_count_scans_from_the_nearer_checkpoint(k, monkeypatch):
-    # n ending on a checkpoint, one past it and mid-block: full blocks
-    # scan forward from row i // k up to its midpoint (ties included) and
-    # backward from the next row past it; a last partial block, with no
-    # next row, scans forward.  No scan is longer than max(k // 2, n % k).
+def test_occ_count_reads_one_word(k, monkeypatch):
+    # n on, one past and mid a 32-symbol directory word: every count at
+    # every k equals the full table, and none scans the BWT
     rng = random.Random(k)
-    for n in (2 * k, 2 * k + 1, 2 * k + k // 2 + 1):
+    for n in (64, 65, 80):
         text = PackedSequence.from_codes([rng.randrange(4) for _ in range(n - 1)])
         bwt = make_bwt(text)
         full = oracle.full_occ_table(bwt)
         table = SampledOccTable.build(bwt, k)
         reads = record_count_reads(monkeypatch)
         for a in range(4):
+            assert occ_count(table, bwt, a, -1) == 0
             for i in range(n):
                 assert occ_count(table, bwt, a, i) == int(full[i][a]), (n, a, i)
-        assert max(stop - start for start, stop in reads) <= max(k // 2, n % k)
-        forward = sum(start % k == 0 and start < stop for start, stop in reads)
-        backward = sum(stop % k == 0 and start < stop for start, stop in reads)
-        if k == 1:
-            assert forward == backward == 0  # a row read, no scan
-        elif k > 2:  # at k = 2 a backward scan is empty
-            assert forward and backward
+        assert reads == []
         monkeypatch.undo()
+
+
+def test_rank_directory_made_by_the_first_count():
+    # builds and loads never count, so they make no directory; the first
+    # count makes it at 8 bytes of BWT word and 16 of tallies per 32 symbols
+    rng = random.Random(9)
+    for n in (1, 31, 32, 33, 300):
+        text = PackedSequence.from_codes([rng.randrange(4) for _ in range(n)])
+        built = construct.build(text, k=7)
+        loaded = loads_index(dumps_index(built))
+        for index in (built, loaded):
+            assert index.occ._rank is None
+            occ_count(index.occ, index.bwt, 0, 0)
+            assert sum(part.nbytes for part in index.occ._rank) == 24 * (index.n // 32 + 1)
 
 
 def test_block_sums_equal_k():
@@ -90,8 +98,14 @@ def test_rebuild_from_partial():
     pos = 117
     old = bwt.data.code_at(pos)
     bwt.data.set(pos, (old + 1) % 4)
+    occ_count(table, bwt, 0, 0)  # a directory of the BWT before the edit
     table.rebuild_from(bwt, pos // k)
+    assert table._rank is None
     assert np.array_equal(table.checkpoints(), SampledOccTable.build(bwt, k).checkpoints())
+    full = oracle.full_occ_table(bwt)
+    for a in range(4):
+        for i in range(bwt.data.length):
+            assert occ_count(table, bwt, a, i) == int(full[i][a]), (a, i)
 
 
 def test_invalid_k():
