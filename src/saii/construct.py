@@ -73,7 +73,7 @@ class SaiiState:
 def init_state(k: int) -> SaiiState:
     """Index of the empty text: the sentinel alone, at row 0, in a
     one-byte leaf whose zero slot already stores code A.  Raises
-    InvalidSamplingRate unless k >= 1, before any step."""
+    InvalidSamplingRate unless 1 <= k < 2^32, before any step."""
     first = packedbuf.PackedBuffer(bytearray(1), 1)
     return SaiiState(packedbuf.Rope(first), CArray([0, 0, 0, 0]), _checked_rate(k))
 

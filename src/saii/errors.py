@@ -35,7 +35,8 @@ class InvalidParams(SaiiError):
 
 
 class InvalidSamplingRate(SaiiError, ValueError):
-    """The occurrence checkpoint spacing k is below 1."""
+    """The occurrence checkpoint spacing k is below 1, or too large for
+    the index file's u32 k field."""
 
 
 class IndexFormatError(SaiiError):

@@ -9,15 +9,12 @@ suffixes lexically smaller than the query, so the suffixes at rows
 low - 1 and low bracket it (low == 0: it precedes all; low == n: it
 follows all).
 
-A backward step (`backward_extend`, `search`) takes one anchored count,
-O(c, low - 1), and reads the new high from it where it can, like BWA's
-paired lookup `bwt_2occ` (Li & Durbin, Bioinformatics 2009): an empty
-interval stays empty with no second count, a one-row interval adds its
-row's own symbol, and an interval of under half a k-block adds a scan
-of its own rows.  Only a wider interval makes the second count,
-O(c, high).  Every count reads one tally and one 32-symbol word of the
-rank directory (`saii.occtable.occ_count`), so the only symbols a search
-scans are those of intervals under half a k-block.
+A backward step (`backward_extend`, `search`) takes one count,
+O(c, low - 1).  An empty interval stays empty with no second count, and
+a one-row interval adds its row's own symbol; any other interval makes
+the second count, O(c, high).  Every count reads one tally and one
+32-symbol word of the rank directory (`saii.occtable.occ_count`), so a
+search reads no BWT symbol but the row of a one-row interval, at any k.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .alphabet import A, PackedSequence
+from .alphabet import PackedSequence
 from .errors import EmptyText, IndexOutOfRange
 from .occtable import SampledOccTable, occ_count
 from .packedbuf import PackedBuffer
@@ -112,11 +109,9 @@ def backward_extend(index: FmIndex, rng: SearchRange, code: int) -> SearchRange:
     """One backward-search step: the interval for code+current pattern,
     (C[code] + O(code, low - 1) + 1, C[code] + O(code, high)) on any range.
 
-    One anchored count, O(code, low - 1), as in BWA's `bwt_2occ`: when
-    high == low - 1 the new interval is empty too, with no second count;
-    when high == low, O(code, high) is that count plus one if the row
-    holds `code`; when [low, high] spans fewer than k // 2 rows, it is
-    that count plus a scan of the interval's rows.  Any other range
+    One count, O(code, low - 1): when high == low - 1 the new interval
+    is empty too, with no second count; when high == low, O(code, high)
+    is that count plus one if the row holds `code`.  Any other range
     makes the second count.
     IndexOutOfRange unless code is in [0, 4), low in [0, n] and high in
     [-1, n).
@@ -139,13 +134,7 @@ def _step(index: FmIndex, code: int, low: int, high: int) -> tuple:
     if high == low:
         # the sentinel's row holds no code, though its slot stores A
         return before + 1, before + (low != bwt.dollar_pos and bwt.data.code_at(low) == code)
-    if 0 < high - low < index.occ.k >> 1:
-        after = before + bwt.data.count_code(code, low, high + 1)
-        if code == A and low <= bwt.dollar_pos <= high:
-            after -= 1  # the sentinel's slot stores code A
-    else:
-        after = ca + occ_count(index.occ, bwt, code, high)
-    return before + 1, after
+    return before + 1, ca + occ_count(index.occ, bwt, code, high)
 
 
 def search(index: FmIndex, query: PackedSequence) -> SearchRange:

@@ -77,8 +77,8 @@ class SampledOccTable:
 
 
 def _checked_rate(k: int) -> int:
-    if k < 1:
-        raise InvalidSamplingRate(f"sampling rate must be >= 1, got {k}")
+    if not 1 <= k < 1 << 32:
+        raise InvalidSamplingRate(f"sampling rate must be >= 1 and < 2^32, the index file's u32 k field, got {k}")
     return k
 
 

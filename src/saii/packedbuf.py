@@ -20,20 +20,20 @@ bytes holding its range down to the range's first slot, keeps its
 mask, then counts each code from popcounts of the planes and the
 range's length (broadword rank: Vigna, WEA 2008).  The mask is one
 fixed constant of 2,048 slots (512 bytes): the longest range a count
-makes at the default k = 2,048 is a checkpoint row, as a rope leaf
-holds at most `LEAF` = 1,024 symbols and a search reads at most k / 2.
-`&` truncates the mask to the data; a longer range makes its own mask
-and drops it on return, so no count leaves memory behind.  `Rope`
-keeps that shift inside one leaf of at most `LEAF` symbols, and finds
-and ranks a position in O(log(n / LEAF)) steps with Fenwick trees over
-its leaves (the ropebwt2 layout: Li, Bioinformatics 2014; Fenwick,
-Software: Practice and Experience 1994).
+makes at the default k = 2,048 is a checkpoint row, as a build ranks
+within one leaf of at most `LEAF` = 1,024 symbols and a search counts
+nothing here.  `&` truncates the mask to the data; a longer range
+makes its own mask and drops it on return, so no count leaves memory
+behind.  `Rope` keeps that shift inside one leaf of at most `LEAF`
+symbols, and finds and ranks a position in O(log(n / LEAF)) steps with
+Fenwick trees over its leaves (the ropebwt2 layout: Li, Bioinformatics
+2014; Fenwick, Software: Practice and Experience 1994).
 """
 
 from __future__ import annotations
 
 LEAF = 1024  # most symbols a rope leaf holds; a multiple of 8
-_PAIR_SLOTS = 2048  # the longest range a count makes at the default k
+_PAIR_SLOTS = 2048  # a checkpoint row at the default k; leaves are shorter
 _PAIRS = ((1 << (_PAIR_SLOTS << 1)) - 1) // 3  # a 01 bit pair per slot
 
 

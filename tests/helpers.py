@@ -13,18 +13,24 @@ def decode_with_sentinel(bwt) -> str:
 
 
 def record_count_reads(monkeypatch) -> list:
-    """Patch `PackedBuffer.count_code` to log the (start, stop) of each
-    call into the returned list."""
+    """Patch `PackedBuffer.count_range` and `PackedBuffer.count_code`,
+    the two count kernels, to log the (start, stop) of each call into
+    the returned list."""
     from saii.packedbuf import PackedBuffer
 
     reads = []
-    count_code = PackedBuffer.count_code
+    count_range, count_code = PackedBuffer.count_range, PackedBuffer.count_code
 
-    def logged(self, code, start, stop):
+    def logged_range(self, start, stop):
+        reads.append((start, stop))
+        return count_range(self, start, stop)
+
+    def logged_code(self, code, start, stop):
         reads.append((start, stop))
         return count_code(self, code, start, stop)
 
-    monkeypatch.setattr(PackedBuffer, "count_code", logged)
+    monkeypatch.setattr(PackedBuffer, "count_range", logged_range)
+    monkeypatch.setattr(PackedBuffer, "count_code", logged_code)
     return reads
 
 

@@ -250,9 +250,11 @@ def test_bench_bad_params(capsys):
     assert main(["bench", "--lengths", "100", "--m", "0"]) == 1
 
 
-@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("k", ["0", "-1", "4294967296"])
 @pytest.mark.parametrize("command", ["build", "verify", "bench"])
 def test_invalid_k_exit_code(tmp_path, capsys, command, k):
+    # 2^32 does not fit the index file's u32 k field, so it is rejected
+    # before any step and no file is written
     src = tmp_path / "t.fa"
     src.write_text(">t\nACGCTTG\n")
     argv = {
@@ -264,6 +266,7 @@ def test_invalid_k_exit_code(tmp_path, capsys, command, k):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: sampling rate must be >= 1")
     assert "Traceback" not in err
+    assert not (tmp_path / "t.saii").exists()
 
 
 @pytest.mark.parametrize(

@@ -154,47 +154,39 @@ def ref_queries():
 
 
 def test_search_one_occ_count_per_step(occ_calls, ref_queries):
-    # the step anchors one count at low - 1, reads high from it, and
-    # makes a second count only for an interval wider than half a
-    # k-block (two counts on every step would be 2.0 per step)
+    # a step makes one count from an empty or one-row interval and two
+    # from any other, and search makes exactly the counts of its steps
     index, queries = ref_queries
-    steps = in_search = empty_steps = 0
+    steps = empty_steps = 0
     for q in queries:
         occ_calls[0] = 0
         found = search(index, PackedSequence.from_codes(q))
-        in_search += occ_calls[0]
+        in_search, occ_calls[0] = occ_calls[0], 0
         steps += len(q)
         # the same steps one at a time, as backward_extend takes them
         interval = SearchRange(0, index.n - 1)
         for code in reversed(q):
-            before, empty = occ_calls[0], interval.high == interval.low - 1
+            before, width = occ_calls[0], interval.high - interval.low
             interval = backward_extend(index, interval, code)
-            if empty:
-                assert occ_calls[0] - before == 1
-                empty_steps += 1
+            assert occ_calls[0] - before == (1 if width <= 0 else 2), (q, width)
+            empty_steps += width == -1
         assert interval == found
+        assert in_search == occ_calls[0], q
     assert empty_steps > steps // 4
-    assert in_search / steps < 1.15
 
 
-def test_search_reads_at_most_half_a_block_per_count(ref_queries, monkeypatch):
-    # occ_count reads the rank directory and a step scans its own rows
-    # only for an interval under half a block, so no count reads more
-    # than k // 2 = 1,024 symbols; scanning forward from row i // k
-    # alone read about 1,000 symbols per step
+def test_search_reads_no_bwt_symbols(ref_queries, monkeypatch):
+    # every count reads the rank directory, so no step scans the BWT
     index, queries = ref_queries
     reads = record_count_reads(monkeypatch)
-    steps = 0
     for q in queries:
         search(index, PackedSequence.from_codes(q))
-        steps += len(q)
-    assert max(stop - start for start, stop in reads) <= index.k // 2
-    assert sum(stop - start for start, stop in reads if start < stop) / steps < 600
+    assert reads == []
 
 
 def test_one_row_step_reads_its_symbol(monkeypatch):
     # a one-row interval takes its new high from the row's own symbol,
-    # with no scan, and the anchored occ_count reads the rank directory;
+    # with no scan, and the one occ_count reads the rank directory;
     # the sentinel's row matches no code
     index = oracle.full_index(encode_text("ACGCTTGACGTTAG"), k=4)
     occ = oracle.full_occ_table(index.bwt)
@@ -238,16 +230,18 @@ def test_bracket_examples():
 
 
 @pytest.mark.parametrize("k", [64, 2048])
-def test_search_wide_intervals(k, occ_calls):
+def test_search_wide_intervals(k, occ_calls, monkeypatch):
     # every query of 1-4 symbols on 5,000 bp, whose intervals span many
-    # k-blocks, and random 7-mers, which mostly miss: steps take both the
-    # in-block scan and the second count
+    # k-blocks, and random 7-mers, which mostly miss: steps take one
+    # count from empty and one-row intervals and two from wider ones,
+    # and none reads a BWT symbol beyond a one-row interval's own
     rng = random.Random(13)
     text = PackedSequence.from_codes([rng.randrange(4) for _ in range(5000)])
     index = construct.build(text, k=k)
     sufs = oracle.sorted_suffixes(text)
     queries = [list(q) for m in range(1, 5) for q in itertools.product(range(4), repeat=m)]
     queries += [[rng.randrange(4) for _ in range(7)] for _ in range(200)]
+    reads = record_count_reads(monkeypatch)
     steps = misses = 0
     for q in queries:
         query = PackedSequence.from_codes(q)
@@ -258,6 +252,7 @@ def test_search_wide_intervals(k, occ_calls):
         misses += not found.count
     assert misses > 50
     assert steps < occ_calls[0] < 2 * steps
+    assert reads == []
 
 
 def exhaustive_pairs(max_text, max_query):

@@ -114,7 +114,7 @@ def test_invalid_k():
 
 
 def test_invalid_k_is_typed():
-    for k in (0, -1):
+    for k in (0, -1, 1 << 32):
         with pytest.raises(SaiiError, match="sampling rate"):
             SampledOccTable(k, 1)
         with pytest.raises(SaiiError, match="sampling rate"):

@@ -11,13 +11,17 @@ from saii.errors import IndexFormatError
 from saii.fmindex import count, first_mismatch
 from saii.serialize import dump_index, dumps_index, load_index, loads_index
 
+from helpers import record_count_reads
+
 
 def test_roundtrip_fields():
-    index = construct.build(encode_text("ACGCTTG"), k=4)
-    loaded = loads_index(dumps_index(index))
-    assert first_mismatch(index, loaded) is None
-    assert loaded.prefetch_built == index.prefetch_built
-    assert count(loaded, encode_text("CT")) == 1
+    for k in (4, (1 << 32) - 1):  # the largest k the u32 field holds
+        index = construct.build(encode_text("ACGCTTG"), k=k)
+        loaded = loads_index(dumps_index(index))
+        assert first_mismatch(index, loaded) is None
+        assert loaded.k == k
+        assert loaded.prefetch_built == index.prefetch_built
+        assert count(loaded, encode_text("CT")) == 1
 
 
 def test_prefetch_flag_survives():
@@ -37,25 +41,13 @@ def test_canonical_bytes():
 def test_load_counts_no_range_longer_than_a_leaf(monkeypatch):
     # a build ranks within leaves of LEAF = 1,024 codes and a load
     # tallies k-blocks, so neither counts the whole 8,193-code BWT
-    ranges = []
-    count_range, count_code = PackedBuffer.count_range, PackedBuffer.count_code
-
-    def logged_range(self, start, stop):
-        ranges.append(stop - start)
-        return count_range(self, start, stop)
-
-    def logged_code(self, code, start, stop):
-        ranges.append(stop - start)
-        return count_code(self, code, start, stop)
-
-    monkeypatch.setattr(PackedBuffer, "count_range", logged_range)
-    monkeypatch.setattr(PackedBuffer, "count_code", logged_code)
+    reads = record_count_reads(monkeypatch)
     text = PackedSequence.from_codes(np.random.default_rng(14).integers(0, 4, size=8192).tolist())
     index = construct.build(text, k=256)
-    assert ranges and max(ranges) <= LEAF
-    ranges.clear()
+    assert reads and max(stop - start for start, stop in reads) <= LEAF
+    reads.clear()
     assert loads_index(dumps_index(index)) == index
-    assert ranges and max(ranges) <= index.k
+    assert reads and max(stop - start for start, stop in reads) <= index.k
 
 
 def test_every_single_byte_corruption_detected():
