@@ -6,7 +6,8 @@ class SaiiError(Exception):
 
 
 class InvalidCharacter(SaiiError):
-    """A non-ACGT character was found while encoding and substitution is off."""
+    """A non-ACGT character was found while encoding and substitution is
+    off, or a code outside 0..3 while packing codes."""
 
     def __init__(self, position: int, char: str):
         self.position = position

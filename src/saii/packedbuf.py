@@ -27,10 +27,14 @@ makes its own mask and drops it on return, so no count leaves memory
 behind.  `Rope` keeps that shift inside one leaf of at most `LEAF`
 symbols, and finds and ranks a position in O(log(n / LEAF)) steps with
 Fenwick trees over its leaves (the ropebwt2 layout: Li, Bioinformatics
-2014; Fenwick, Software: Practice and Experience 1994).
+2014; Fenwick, Software: Practice and Experience 1994); its one flatten
+folds the leaves into one int, so even a lone leaf becomes a new, exact
+buffer.
 """
 
 from __future__ import annotations
+
+from .errors import InvalidCharacter
 
 LEAF = 1024  # most symbols a rope leaf holds; a multiple of 8
 _PAIR_SLOTS = 2048  # a checkpoint row at the default k; leaves are shorter
@@ -46,7 +50,7 @@ class PackedBuffer:
     def __init__(self, data, length: int):
         """Buffer of the `length` codes packed in `data` (bytes or a
         bytearray), which it takes over."""
-        if len(data) != (length + 3) >> 2:
+        if length < 0 or len(data) != (length + 3) >> 2:
             raise ValueError(
                 f"payload is {len(data)} bytes, expected {(length + 3) >> 2} for {length} symbols"
             )
@@ -201,27 +205,18 @@ class Rope:
             j += j & -j
 
     def flatten(self) -> PackedBuffer:
-        """The codes as one `PackedBuffer`, made once: leaves are popped
-        from the end and released as each is shifted into place; a lone
-        leaf is handed over.  A second call raises."""
+        """The codes as one exact `PackedBuffer`, made once: leaves are
+        popped from the end and folded into one int below the ones after
+        them, each released as it goes in.  A second call raises."""
         leaves, n = self.leaves, self.length
         if not leaves:
             raise RuntimeError("rope already flattened")
         self._trees = None
-        if len(leaves) == 1:
-            return leaves.pop()
-        out = bytearray((n + 3) >> 2)
-        end = n
+        x = 0
         while leaves:
             leaf = leaves.pop()
-            start = end - leaf.length
-            lo, hi = start >> 2, (end + 3) >> 2
-            # zero padding: the leaf fits [lo, hi), OR-ed with the next one's head
-            x = int.from_bytes(leaf._buf, "little") << ((start & 3) << 1)
-            x |= out[hi - 1] << ((hi - 1 - lo) << 3)
-            out[lo:hi] = x.to_bytes(hi - lo, "little")
-            end = start
-        return PackedBuffer(out, n)
+            x = x << (leaf.length << 1) | int.from_bytes(leaf._buf, "little")
+        return PackedBuffer(bytearray(x.to_bytes((n + 3) >> 2, "little")), n)
 
 
 def _split_node(tree: list, i: int, left: int) -> None:
@@ -238,8 +233,11 @@ def _split_node(tree: list, i: int, left: int) -> None:
 
 def pack(codes, length: int) -> bytearray:
     """Packed bytes of the `length` codes drawn from the iterable `codes`;
-    streams, allocating nothing beyond the ceil(length/4) output bytes."""
+    streams, allocating nothing beyond the ceil(length/4) output bytes.
+    Raises InvalidCharacter at the first code outside 0..3."""
     data = bytearray((length + 3) >> 2)
     for i, c in enumerate(codes):
+        if not 0 <= c <= 3:
+            raise InvalidCharacter(i, c)
         data[i >> 2] |= c << ((i & 3) << 1)
     return data

@@ -19,11 +19,14 @@ build could have written: only flag bit 0 may be set, the sentinel slot
 reads as A, the padding bits are zero, C and every checkpoint row agree
 with the BWT, and the last-to-first (LF) walk from row 0 passes through
 all n rows before it returns, so the BWT is that of some text.  The load
-tallies the one checkpoint table the index keeps from the BWT and
-requires the file's rows to match it byte for byte.  So a file loads
-only if a build of some text at its k writes those bytes, the prefetch
-flag aside.  Serialization is canonical: load followed by dump
-reproduces the input byte for byte.
+unpacks the BWT once and reads the sentinel slot, the padding, C and
+the walk off that unpack.  The first column is the stable sort of the
+BWT, sentinel first (Burrows & Wheeler, SRC Research Report 124, 1994):
+C tallies it, and its sort order, the inverse of LF, has LF's cycles.
+The rows are tallied by the build's row kernel and must match the
+file's byte for byte.  So a file loads only if a build of some text at
+its k writes those bytes, the prefetch flag aside.  Serialization is
+canonical: load followed by dump reproduces the input byte for byte.
 """
 
 from __future__ import annotations
@@ -84,34 +87,29 @@ def loads_index(blob: bytes) -> FmIndex:
 def _check_consistent(bwt: Bwt, c: CArray, k: int, rows: bytes) -> SampledOccTable:
     """The occurrence table of `bwt`; IndexFormatError unless the file's
     checkpoint `rows` and `c` agree with the BWT and the BWT is one LF
-    cycle of all its n rows."""
+    cycle of all its n rows.  Every check but the rows reads one unpack
+    of the payload; the rows come from `SampledOccTable.build`."""
     n = bwt.data.length
-    if bwt.data.code_at(bwt.dollar_pos) != A:
+    packed = np.frombuffer(bwt.payload(), dtype=np.uint8)
+    codes = ((packed[:, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3).reshape(-1)
+    if codes[bwt.dollar_pos] != A:
         raise IndexFormatError("sentinel slot does not read as A")
-    if any(bwt.data.count_range(n, (n + 3) & ~3)[1:]):
+    if codes[n:].any():
         raise IndexFormatError("padding bits past the last symbol are set")
     occ = SampledOccTable.build(bwt, k)
     if occ.checkpoints().astype("<u8").tobytes() != rows:
         raise IndexFormatError("occurrence checkpoints disagree with the BWT")
-    # the last row already tallies the head [0, (n // k) * k), so only
-    # the tail past it is counted
-    tally = (occ.checkpoints()[-1] + bwt.data.count_range((n // k) * k, n)).tolist()
-    tally[A] -= 1  # sentinel slot is not a text A
-    if c.counts != CArray.from_tally(tally).counts:
+    # first-column key: the sentinel 0, each code c as c + 1
+    key = codes[:n] + 1
+    key[bwt.dollar_pos] = 0
+    if c.counts != CArray.from_tally(np.bincount(key, minlength=5)[1:].tolist()).counts:
         raise IndexFormatError("C array disagrees with the BWT")
-    # the j-th row holding code a steps to C[a] + j + 1, the sentinel's
-    # row to 0; with C checked this is a permutation, so the walk ends
-    packed = np.frombuffer(bwt.payload(), dtype=np.uint8)
-    codes = ((packed[:, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3).reshape(-1)[:n]
-    codes[bwt.dollar_pos] = 4  # the sentinel's slot is not a text A
-    lf = np.zeros(n, dtype=np.int64)
-    for a in range(4):
-        at = np.flatnonzero(codes == a)
-        lf[at] = np.arange(c.counts[a] + 1, c.counts[a] + 1 + len(at))
-    lf = lf.tolist()
-    row, steps = lf[0], 1
+    # the stable sort of the BWT is its first column: row i of it holds
+    # BWT row first[i], so `first` is the inverse of LF and has its cycles
+    first = np.argsort(key, kind="stable").tolist()
+    row, steps = first[0], 1
     while row:
-        row, steps = lf[row], steps + 1
+        row, steps = first[row], steps + 1
     if steps != n:
         raise IndexFormatError(f"BWT is not one LF cycle: row 0 recurs after {steps} of {n} rows")
     return occ

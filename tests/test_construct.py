@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -174,6 +175,16 @@ def test_build_schedule_equivalence():
 def test_empty_text_rejected():
     with pytest.raises(EmptyText):
         construct.build(PackedSequence(b"", 0), k=4)
+
+
+def test_built_bwt_has_no_slack():
+    # a 1,000-bp build is one leaf that grew byte by byte; the flatten
+    # copies it into an exact buffer rather than keeping its growth slack
+    text = random_text(random.Random(21), 1000, min_len=1000)
+    for schedule in ("standard", "prefetch"):
+        buf = construct.build(text, k=64, schedule=schedule).bwt.data._buf
+        assert len(buf) == (1001 + 3) // 4
+        assert sys.getsizeof(buf) == sys.getsizeof(bytearray(bytes(buf)))
 
 
 def test_unknown_schedule_rejected():

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saii import packedbuf
+from saii.alphabet import PackedSequence
+from saii.errors import InvalidCharacter
 from saii.packedbuf import PackedBuffer, Rope, pack
 
 from helpers import traced
@@ -29,6 +31,22 @@ def test_from_codes_roundtrip(codes):
             buf.code_at(i)
     with pytest.raises(ValueError):
         PackedBuffer(bytearray(2), 4)
+
+
+@pytest.mark.parametrize("codes, at", [([0, 5], 1), ([4], 0), ([1, 2, -1, 7], 2)])
+def test_from_codes_rejects_codes_outside_0_to_3(codes, at):
+    # 5 would pack as a 1 and 4 would set a padding bit
+    with pytest.raises(InvalidCharacter) as err:
+        PackedSequence.from_codes(codes)
+    assert (err.value.position, err.value.char) == (at, codes[at])
+
+
+@pytest.mark.parametrize("length", [-1, -2, -3, -4])
+def test_negative_length_rejected(length):
+    # lengths -1 to -3 expect an empty payload, which would make an empty
+    # text that builds to the sentinel-only index
+    with pytest.raises(ValueError):
+        PackedSequence(b"", length)
 
 
 @given(codes_lists, st.integers(0, 3), st.data())

@@ -1,10 +1,15 @@
+import contextlib
+import io
+import random
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from saii import construct, oracle
+from saii import cli, construct, oracle
 from saii.packedbuf import LEAF, PackedBuffer
 from saii.alphabet import PackedSequence, encode_text
 from saii.errors import IndexFormatError
@@ -48,6 +53,10 @@ def test_load_counts_no_range_longer_than_a_leaf(monkeypatch):
     reads.clear()
     assert loads_index(dumps_index(index)) == index
     assert reads and max(stop - start for start, stop in reads) <= index.k
+    # exactly the k-block rows: the padding, the tail and C are read off
+    # the load's unpack, not counted
+    k = index.k
+    assert reads == [((j - 1) * k, j * k) for j in range(1, index.n // k + 1)]
 
 
 def test_every_single_byte_corruption_detected():
@@ -151,6 +160,49 @@ def test_every_bwt_byte_value_rejected_or_a_valid_index():
 
             loaded += _loads_as_its_own_text(_forge(blob, write_byte))
     assert loaded == 8  # the unedited file once per byte, and four BWTs of other texts
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=300),
+    st.sampled_from([1, 3, 4, 7, 64, 2048]),
+    st.sampled_from(["standard", "prefetch"]),
+    st.booleans(),
+    st.integers(0, (1 << 32) - 1),
+)
+# seeds whose edits load: a BWT byte that spells another text, and the flag bit
+@example(encode_text("ACGCTTGACGTTAG").codes(), 4, "standard", False, 765)
+@example(encode_text("ACGCTTGACGTTAG").codes(), 4, "standard", False, 14439)
+def test_seeded_corruption_rejected_or_a_valid_index(tmp_path_factory, codes, k, schedule, resize, seed):
+    # 1-3 bytes anywhere in the body set, or the body cut or extended by
+    # 1-40 bytes, all drawn from `seed`, with the CRC recomputed; a load
+    # must reject the file or give the oracle index of its BWT's text
+    blob = dumps_index(construct.build(PackedSequence.from_codes(codes), k=k, schedule=schedule))
+    rng = random.Random(seed)
+
+    def apply(body):
+        if not resize:
+            for _ in range(rng.randint(1, 3)):
+                body[rng.randrange(len(body))] = rng.randrange(256)
+        elif rng.random() < 0.5:
+            del body[-rng.randint(1, 40) :]
+        else:
+            body += rng.randbytes(rng.randint(1, 40))
+
+    bad = _forge(blob, apply)
+    try:
+        loaded = loads_index(bad)
+    except IndexFormatError:
+        pass
+    else:
+        assert loaded == oracle.full_index(oracle.invert_bwt(loaded.bwt), loaded.k)
+        assert dumps_index(loaded) == bad
+    path = tmp_path_factory.getbasetemp() / "corrupt.saii"
+    path.write_bytes(bad)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["count", str(path), "ACG"]) in (0, 1)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_truncated_file_rejected():
