@@ -12,13 +12,10 @@ sentinel is never encoded here; it exists only as a position (see
 from __future__ import annotations
 
 from .errors import EmptyText, InvalidCharacter
-from .packedbuf import PackedBuffer
+from .packedbuf import BAD, CHUNK, PackedBuffer, fold
 
 A, C, G, T = 0, 1, 2, 3
 SYMBOLS = "ACGT"
-
-_CHUNK = 128  # characters packed per big-int pass; a multiple of 4
-_BAD = 4  # the code byte of a character outside ACGT
 
 
 def _code_table(other: int) -> bytes:
@@ -30,7 +27,7 @@ def _code_table(other: int) -> bytes:
     return bytes(table)
 
 
-_STRICT, _SUBSTITUTE = _code_table(_BAD), _code_table(A)
+_STRICT, _SUBSTITUTE = _code_table(BAD), _code_table(A)
 
 PackedSequence = PackedBuffer  # the public name for texts; packedbuf names the same class
 
@@ -39,26 +36,21 @@ def encode_text(text: str, substitute: bool = False) -> PackedSequence:
     """Pack an ACGT string (case folded).
 
     Characters outside ACGT raise InvalidCharacter unless `substitute`
-    is set, in which case they become A.  The text is packed `_CHUNK`
+    is set, in which case they become A.  The text is packed `CHUNK`
     characters at a time, so the work space does not grow with it: a
     chunk becomes one code byte per character (a non-ASCII character
-    becomes one "?", so positions hold), and those bytes, read as one
-    little-endian int, fold into 2-bit slots with two shifts, each
-    moving every other code (then pair of codes) down next to the one
-    below it, so that every fourth byte is a packed byte.
+    becomes one "?", so positions hold), and `saii.packedbuf.fold`
+    packs those bytes into the chunk's slice of the output.
     """
     if not text:
         raise EmptyText("cannot encode an empty text")
     table = _SUBSTITUTE if substitute else _STRICT
-    out = bytearray((len(text) + 3) >> 2)
-    for start in range(0, len(text), _CHUNK):
-        codes = text[start : start + _CHUNK].encode("ascii", "replace").translate(table)
-        if (bad := codes.find(_BAD)) >= 0:
+    out = bytearray((len(text) + 3) // 4)
+    for start in range(0, len(text), CHUNK):
+        codes = text[start : start + CHUNK].encode("ascii", "replace").translate(table)
+        if (bad := codes.find(BAD)) >= 0:
             raise InvalidCharacter(start + bad, text[start + bad])
-        x = int.from_bytes(codes, "little")
-        x |= x >> 6
-        x |= x >> 12
-        out[start >> 2 : (start + _CHUNK) >> 2] = x.to_bytes(len(codes), "little")[::4]
+        out[start // 4 : (start + CHUNK) // 4] = fold(codes)
     return PackedSequence(bytes(out), len(text))
 
 

@@ -87,7 +87,7 @@ def _locate_bad_step(text: PackedSequence, k: int, schedule: str) -> int:
     index of the suffix of length s + 1, so each suffix is built whole;
     the last step, the whole text, is known to be wrong."""
     for i in range(text.length - 1, 0, -1):
-        suffix = text.suffix(i)
+        suffix = PackedSequence.from_codes(text.codes()[i:])
         built = construct.build(suffix, k=k, schedule=schedule)
         if first_mismatch(built, oracle.full_index(suffix, k=k)) is not None:
             return text.length - 1 - i

@@ -2,13 +2,13 @@
 the leaf-blocked rope that construction inserts into.
 
 Symbol i occupies bits [2*(i % 4), 2*(i % 4) + 2) of byte i // 4,
-least-significant slot first.  Slots at indices >= length are kept zero
-so that the payload bytes of equal buffers compare equal.  `pack` writes
-this layout, and `count_range` and `count_code` read it, each inline
-and the same way.  `PackedBuffer` holds texts and queries
-(`saii.alphabet.PackedSequence` is the same class; a text keeps
-immutable `bytes`), rope leaves and the BWT (a `bytearray`, so they can
-take insertions).
+least-significant slot first.  Slots at indices >= length are zero by
+construction (`PackedBuffer` refuses a set padding bit), so equal
+buffers have equal payload bytes.  `fold` writes this layout, and
+`count_range` and `count_code` read it, each inline and the same way.
+`PackedBuffer` holds texts and queries (`saii.alphabet.PackedSequence`
+is the same class; a text keeps immutable `bytes`), rope leaves and
+the BWT (a `bytearray`, so they can take insertions).
 
 A run of packed bytes read as one little-endian Python int holds its
 codes as two bit planes: the low bit of each code at the even bit
@@ -37,6 +37,8 @@ from __future__ import annotations
 from .errors import InvalidCharacter
 
 LEAF = 1024  # most symbols a rope leaf holds; a multiple of 8
+CHUNK = 128  # most code bytes `fold` packs in one big-int pass; a multiple of 4
+BAD = 4  # the code byte of a character or code outside 0..3
 _PAIR_SLOTS = 2048  # a checkpoint row at the default k; leaves are shorter
 _PAIRS = ((1 << (_PAIR_SLOTS << 1)) - 1) // 3  # a 01 bit pair per slot
 
@@ -49,17 +51,24 @@ class PackedBuffer:
 
     def __init__(self, data, length: int):
         """Buffer of the `length` codes packed in `data` (bytes or a
-        bytearray), which it takes over."""
+        bytearray), which it takes over.  ValueError unless `data` is
+        exactly ceil(length / 4) bytes with its padding bits zero."""
         if length < 0 or len(data) != (length + 3) >> 2:
             raise ValueError(
                 f"payload is {len(data)} bytes, expected {(length + 3) >> 2} for {length} symbols"
             )
+        if length & 3 and data[-1] >> ((length & 3) << 1):
+            raise ValueError("padding bits past the last symbol are set")
         self._buf = data
         self.length = length
 
     @classmethod
     def from_codes(cls, codes) -> "PackedBuffer":
-        return cls(pack(codes, len(codes)), len(codes))
+        """Buffer of the int `codes`; InvalidCharacter at the first outside 0..3."""
+        data = bytes(c if 0 <= c <= 3 else BAD for c in codes)
+        if (bad := data.find(BAD)) >= 0:
+            raise InvalidCharacter(bad, codes[bad])
+        return cls(bytearray().join(fold(data[i : i + CHUNK]) for i in range(0, len(data), CHUNK)), len(data))
 
     def code_at(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -133,9 +142,6 @@ class PackedBuffer:
     def codes(self) -> list:
         buf = self._buf
         return [(buf[i >> 2] >> ((i & 3) << 1)) & 3 for i in range(self.length)]
-
-    def suffix(self, start: int) -> "PackedBuffer":
-        return PackedBuffer.from_codes(self.codes()[start:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PackedBuffer):
@@ -231,13 +237,12 @@ def _split_node(tree: list, i: int, left: int) -> None:
             tree[up] += tree[node]
 
 
-def pack(codes, length: int) -> bytearray:
-    """Packed bytes of the `length` codes drawn from the iterable `codes`;
-    streams, allocating nothing beyond the ceil(length/4) output bytes.
-    Raises InvalidCharacter at the first code outside 0..3."""
-    data = bytearray((length + 3) >> 2)
-    for i, c in enumerate(codes):
-        if not 0 <= c <= 3:
-            raise InvalidCharacter(i, c)
-        data[i >> 2] |= c << ((i & 3) << 1)
-    return data
+def fold(codes: bytes) -> bytes:
+    """The packed bytes of at most `CHUNK` code bytes, each 0..3.  Read
+    as one little-endian int, the codes fold into 2-bit slots with two
+    shifts, each moving every other code (then pair of codes) down next
+    to the one below it, so that every fourth byte is a packed byte."""
+    x = int.from_bytes(codes, "little")
+    x |= x >> 6
+    x |= x >> 12
+    return x.to_bytes(len(codes), "little")[::4]

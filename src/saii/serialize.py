@@ -15,17 +15,17 @@ Little-endian throughout:
 
 The CRC is verified before anything is parsed, so any single corrupted
 byte fails the load.  A file with a valid CRC must also be one that a
-build could have written: only flag bit 0 may be set, the sentinel slot
-reads as A, the padding bits are zero, C and every checkpoint row agree
-with the BWT, and the last-to-first (LF) walk from row 0 passes through
-all n rows before it returns, so the BWT is that of some text.  The load
-unpacks the BWT once and reads the sentinel slot, the padding, C and
-the walk off that unpack.  The first column is the stable sort of the
-BWT, sentinel first (Burrows & Wheeler, SRC Research Report 124, 1994):
-C tallies it, and its sort order, the inverse of LF, has LF's cycles.
-The rows are tallied by the build's row kernel and must match the
-file's byte for byte.  So a file loads only if a build of some text at
-its k writes those bytes, the prefetch flag aside.  Serialization is
+build could have written: only flag bit 0 may be set, no padding bit is
+set (`PackedBuffer` refuses one), the sentinel slot reads as A, C and
+every checkpoint row agree with the BWT, and the last-to-first (LF) walk
+from row 0 passes through all n rows before it returns, so the BWT is
+that of some text.  The load reads the sentinel slot, C and the walk off
+one unpack of the BWT.  The first column is the stable sort of the BWT,
+sentinel first (Burrows & Wheeler, SRC Research Report 124, 1994): C
+tallies it, and its sort order, the inverse of LF, has LF's cycles.  The
+rows are tallied by the build's row kernel and must match the file's
+byte for byte.  So a file loads only if a build of some text at its k
+writes those bytes, the prefetch flag aside.  Serialization is
 canonical: load followed by dump reproduces the input byte for byte.
 """
 
@@ -78,7 +78,10 @@ def loads_index(blob: bytes) -> FmIndex:
     expected = rows_at + (n // k + 1) * 32
     if len(body) != expected:
         raise IndexFormatError(f"file holds {len(body)} bytes, expected {expected}")
-    bwt = Bwt(PackedBuffer(bytearray(body[_HEADER.size : rows_at]), n), dollar)
+    try:
+        bwt = Bwt(PackedBuffer(bytearray(body[_HEADER.size : rows_at]), n), dollar)
+    except ValueError as err:  # the size is right, so padding bits are set
+        raise IndexFormatError(str(err)) from None
     c = CArray([c0, c1, c2, c3])
     occ = _check_consistent(bwt, c, k, body[rows_at:])
     return FmIndex(bwt=bwt, c=c, occ=occ, prefetch_built=bool(flags & _FLAG_PREFETCH))
@@ -88,14 +91,13 @@ def _check_consistent(bwt: Bwt, c: CArray, k: int, rows: bytes) -> SampledOccTab
     """The occurrence table of `bwt`; IndexFormatError unless the file's
     checkpoint `rows` and `c` agree with the BWT and the BWT is one LF
     cycle of all its n rows.  Every check but the rows reads one unpack
-    of the payload; the rows come from `SampledOccTable.build`."""
+    of the payload; the rows come from `SampledOccTable.build`.  The
+    padding needs no check: `PackedBuffer` refuses a set padding bit."""
     n = bwt.data.length
     packed = np.frombuffer(bwt.payload(), dtype=np.uint8)
     codes = ((packed[:, None] >> np.array([0, 2, 4, 6], dtype=np.uint8)) & 3).reshape(-1)
     if codes[bwt.dollar_pos] != A:
         raise IndexFormatError("sentinel slot does not read as A")
-    if codes[n:].any():
-        raise IndexFormatError("padding bits past the last symbol are set")
     occ = SampledOccTable.build(bwt, k)
     if occ.checkpoints().astype("<u8").tobytes() != rows:
         raise IndexFormatError("occurrence checkpoints disagree with the BWT")

@@ -12,6 +12,16 @@ def decode_with_sentinel(bwt) -> str:
     )
 
 
+def packed_bytes(codes) -> bytes:
+    """The 2-bit layout of `codes` written one code at a time, a
+    reference for `saii.packedbuf.fold`: code i in bits 2 * (i % 4) up of
+    byte i // 4, padding slots zero."""
+    out = bytearray((len(codes) + 3) // 4)
+    for i, c in enumerate(codes):
+        out[i // 4] |= c << 2 * (i % 4)
+    return bytes(out)
+
+
 def record_count_reads(monkeypatch) -> list:
     """Patch `PackedBuffer.count_range` and `PackedBuffer.count_code`,
     the two count kernels, to log the (start, stop) of each call into

@@ -101,7 +101,7 @@ def test_encode_text_equals_from_codes_across_chunk_edges():
 
 def test_suffix_and_code_at():
     seq = encode_text("ACGCTTG")
-    assert decode(seq.suffix(3)) == "CTTG"
+    assert decode(PackedSequence.from_codes(seq.codes()[3:])) == "CTTG"
     assert seq.code_at(4) == 3
     with pytest.raises(IndexError):
         seq.code_at(7)

@@ -79,7 +79,7 @@ def test_build_acgct_stepwise_matches_oracle_suffixes():
     state = construct.init_state(2)
     for i in range(len(codes) - 1, -1, -1):
         construct.step(state, codes[i])
-        expected = oracle.full_index(text.suffix(i), k=2)
+        expected = oracle.full_index(PackedSequence.from_codes(text.codes()[i:]), k=2)
         assert first_mismatch(snapshot(state), expected) is None
         assert not state.pending
         assert state.rope.length == len(codes) - i + 1
@@ -93,7 +93,7 @@ def test_incremental_states_match_oracle_random():
         state = construct.init_state(4)
         for i in range(len(codes) - 1, -1, -1):
             construct.step(state, codes[i])
-            expected = oracle.full_index(text.suffix(i), k=4)
+            expected = oracle.full_index(PackedSequence.from_codes(text.codes()[i:]), k=4)
             assert first_mismatch(snapshot(state), expected) is None
 
 
@@ -106,7 +106,7 @@ def test_extended_suffix_occurs_once():
         state = construct.init_state(1)
         for i in range(len(codes) - 1, -1, -1):
             construct.step(state, codes[i])
-            rng_ = search(snapshot(state), text.suffix(i))
+            rng_ = search(snapshot(state), PackedSequence.from_codes(text.codes()[i:]))
             assert rng_.low == rng_.high == state.q
 
 
@@ -147,7 +147,7 @@ def test_prefetch_intermediate_states_lag_by_one():
         assert pre.rope.length == len(codes) - i
         assert pre.pending
         assert pre.q == q
-        expected = oracle.full_index(text.suffix(i), k=4)
+        expected = oracle.full_index(PackedSequence.from_codes(text.codes()[i:]), k=4)
         assert first_mismatch(snapshot(pre), expected) is None
         assert pre.rope.length == len(codes) - i
     construct.prefetch_flush(pre)
@@ -223,7 +223,7 @@ def test_rope_states_match_oracle_after_every_step(codes, k, leaf):
         for i in range(len(codes) - 1, -1, -1):
             construct.step(std, codes[i])
             construct.prefetch_step(pre, codes[i])
-            expected = oracle.full_index(text.suffix(i), k=k)
+            expected = oracle.full_index(PackedSequence.from_codes(text.codes()[i:]), k=k)
             assert first_mismatch(snapshot(std), expected) is None
             assert first_mismatch(snapshot(pre), expected) is None
         # a text of `leaf` symbols or more has split its first leaf

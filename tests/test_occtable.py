@@ -34,6 +34,22 @@ def test_checkpoints_against_full_table():
                     assert occ_count(table, bwt, a, i) == int(full[i][a])
 
 
+def test_checkpoint_rows_against_full_table():
+    # row j tallies BWT[0 : j*k]: the oracle's row j*k - 1, with the
+    # sentinel slot counted as an A once the row passes it; at k = 4,096
+    # a row is longer than the 2,048-slot 01-pair mask and makes its own
+    rng = random.Random(31)
+    for length in [1, 2, 3, 4, 5, 6, 63, 64, 2047, 2048, 4095, 4096, 4097, 5000]:
+        bwt = make_bwt(PackedSequence.from_codes([rng.randrange(4) for _ in range(length)]))
+        full = oracle.full_occ_table(bwt)
+        for k in (1, 3, 7, 64, 2048, 4096):
+            ends = np.arange(k, bwt.data.length + 1, k)
+            expected = np.zeros((len(ends) + 1, 4), dtype=np.int64)
+            expected[1:] = full[ends - 1]
+            expected[1:, 0] += ends > bwt.dollar_pos
+            assert np.array_equal(SampledOccTable.build(bwt, k).checkpoints(), expected), (length, k)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 2048])
 def test_occ_count_reads_one_word(k, monkeypatch):
     # n on, one past and mid a 32-symbol directory word: every count at

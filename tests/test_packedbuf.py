@@ -1,28 +1,32 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saii import packedbuf
 from saii.alphabet import PackedSequence
 from saii.errors import InvalidCharacter
-from saii.packedbuf import PackedBuffer, Rope, pack
+from saii.packedbuf import PackedBuffer, Rope
 
-from helpers import traced
+from helpers import packed_bytes, traced
 
 codes_lists = st.lists(st.integers(0, 3), max_size=300)
 
 
 @given(codes_lists)
+# on either side of the 128-code edge of one `fold`
+@example([3] * 127 + [1])
+@example([2] * 128 + [1])
 def test_from_codes_roundtrip(codes):
     buf = PackedBuffer.from_codes(codes)
-    assert buf.codes() == codes
+    assert buf.codes() == codes and isinstance(buf._buf, bytearray)
+    assert buf.payload() == packed_bytes(codes) == PackedBuffer.from_codes(tuple(codes)).payload()
     assert len(buf.payload()) == (len(codes) + 3) // 4
     # a bytes-backed text and a bytearray-backed leaf of the same codes
     # are one type and read alike
     n = len(codes)
-    text = PackedBuffer(bytes(pack(codes, n)), n)
+    text = PackedBuffer(packed_bytes(codes), n)
     assert text == buf and text.payload() == buf.payload() and text.codes() == codes
     assert [text.code_at(i) for i in range(n)] == [buf.code_at(i) for i in range(n)] == codes
     assert text.count_range(0, n) == buf.count_range(0, n) == [codes.count(a) for a in range(4)]
@@ -33,12 +37,33 @@ def test_from_codes_roundtrip(codes):
         PackedBuffer(bytearray(2), 4)
 
 
-@pytest.mark.parametrize("codes, at", [([0, 5], 1), ([4], 0), ([1, 2, -1, 7], 2)])
+@pytest.mark.parametrize(
+    "codes, at",
+    [([0, 5], 1), ([4], 0), ([1, 2, -1, 7], 2), ([0] * 127 + [256, 4], 127), ([1] * 128 + [-1, 9], 128)],
+)
 def test_from_codes_rejects_codes_outside_0_to_3(codes, at):
-    # 5 would pack as a 1 and 4 would set a padding bit
+    # 5 would pack as a 1 and 4 would set a padding bit; the first bad
+    # code is found on either side of a fold's 128-code edge
     with pytest.raises(InvalidCharacter) as err:
         PackedSequence.from_codes(codes)
     assert (err.value.position, err.value.char) == (at, codes[at])
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 4103])
+def test_set_padding_bits_refused(length):
+    # each padding bit of the last byte, alone, in bytes and a bytearray:
+    # a buffer's payload is its codes, so equal codes compare equal
+    used = (length & 3) << 1
+    data = packed_bytes([3] * length)
+    for payload in (data, bytearray(data)):
+        assert PackedBuffer(payload, length) == PackedBuffer.from_codes([3] * length)
+    for bit in range(used, 8):
+        dirty = data[:-1] + bytes([data[-1] | 1 << bit])
+        for payload in (dirty, bytearray(dirty)):
+            with pytest.raises(ValueError, match="padding bits"):
+                PackedBuffer(payload, length)
+    with pytest.raises(ValueError, match="padding bits"):
+        PackedSequence(b"\xff", 1)
 
 
 @pytest.mark.parametrize("length", [-1, -2, -3, -4])
@@ -70,7 +95,7 @@ def test_long_tail_inserts_match_list_model():
         buf.insert(pos, c)
         model.insert(pos, c)
     assert buf.codes() == model
-    assert buf.payload() == pack(model, len(model))
+    assert buf.payload() == packed_bytes(model)
 
 
 def test_insert_path_boundaries():
@@ -83,7 +108,7 @@ def test_insert_path_boundaries():
             buf = PackedBuffer.from_codes(codes)
             buf.insert(pos, 2)
             model = codes[:pos] + [2] + codes[pos:]
-            assert buf.payload() == pack(model, len(model)), (n, tail)
+            assert buf.payload() == packed_bytes(model), (n, tail)
 
 
 def test_count_code_allocation():
@@ -206,7 +231,7 @@ def test_insert_into_exact_buffer():
                 model = codes[:pos] + [code] + codes[pos:]
                 assert len(buf._buf) == (n + 3) // 4 + (n % 4 == 0), (n, pos)
                 assert not any(buf.count_range(n + 1, (n + 4) & ~3)[1:])
-                assert buf.payload() == pack(model, n + 1)
+                assert buf.payload() == packed_bytes(model)
 
 
 @pytest.mark.parametrize("tail", [0, 3, 4096, 4101])
@@ -219,11 +244,11 @@ def test_insert_into_full_buffer_raises(tail):
         buf = PackedBuffer.from_codes(codes)
         with pytest.raises(IndexError):
             buf.insert(pos, 1)
-        assert buf.length == len(codes) and buf.payload() == pack(codes, len(codes))
+        assert buf.length == len(codes) and buf.payload() == packed_bytes(codes)
     buf.insert(len(codes) - tail, 1)
     model = codes[: len(codes) - tail] + [1] + codes[len(codes) - tail :]
     assert len(buf._buf) == len(codes) // 4 + 1
-    assert buf.payload() == pack(model, len(model))
+    assert buf.payload() == packed_bytes(model)
 
 
 
@@ -246,7 +271,7 @@ def test_rope_flatten_over_odd_leaf_lengths(monkeypatch):
     assert {n % 4 for n in lengths} == {0, 1, 2, 3} and min(lengths) >= 4
     flat = rope.flatten()
     assert flat.codes() == model
-    assert flat.payload() == pack(model, len(model)) and len(flat._buf) == (len(model) + 3) // 4
+    assert flat.payload() == packed_bytes(model) and len(flat._buf) == (len(model) + 3) // 4
     assert rope.leaves == []
     with pytest.raises(RuntimeError):
         rope.flatten()

@@ -162,28 +162,55 @@ def test_every_bwt_byte_value_rejected_or_a_valid_index():
     assert loaded == 8  # the unedited file once per byte, and four BWTs of other texts
 
 
+def _consistent_edit(body, index, rng) -> None:
+    """Edit the body of `index`'s file, drawing from `rng`, so that C and
+    every checkpoint row stay valid: set padding bits in the last BWT
+    byte, or swap two different codes inside one k-block (or inside the
+    tail past the last row), never the sentinel slot.  No edit when there
+    is neither.  Only the padding and the LF cycle can tell."""
+    codes, dollar, k, n = index.bwt.data.codes(), index.bwt.dollar_pos, index.k, index.n
+    used = (n & 3) << 1
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, min(n, (i // k + 1) * k))
+        if codes[i] != codes[j] and dollar not in (i, j)
+    ]
+    if used and (not pairs or rng.random() < 0.5):
+        body[60 + ((n - 1) >> 2)] |= rng.randrange(1, 1 << (8 - used)) << used
+    elif pairs:
+        i, j = rng.choice(pairs)
+        codes[i], codes[j] = codes[j], codes[i]
+        payload = PackedBuffer.from_codes(codes).payload()
+        body[60 : 60 + len(payload)] = payload
+
+
 @settings(max_examples=800, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.integers(0, 3), min_size=1, max_size=300),
     st.sampled_from([1, 3, 4, 7, 64, 2048]),
     st.sampled_from(["standard", "prefetch"]),
-    st.booleans(),
+    st.sampled_from(["bytes", "resize", "consistent"]),
     st.integers(0, (1 << 32) - 1),
 )
 # seeds whose edits load: a BWT byte that spells another text, and the flag bit
-@example(encode_text("ACGCTTGACGTTAG").codes(), 4, "standard", False, 765)
-@example(encode_text("ACGCTTGACGTTAG").codes(), 4, "standard", False, 14439)
-def test_seeded_corruption_rejected_or_a_valid_index(tmp_path_factory, codes, k, schedule, resize, seed):
-    # 1-3 bytes anywhere in the body set, or the body cut or extended by
-    # 1-40 bytes, all drawn from `seed`, with the CRC recomputed; a load
-    # must reject the file or give the oracle index of its BWT's text
-    blob = dumps_index(construct.build(PackedSequence.from_codes(codes), k=k, schedule=schedule))
+@example(encode_text("ACGCTTGACGTTAG").codes(), 4, "standard", "bytes", 765)
+@example(encode_text("ACGCTTGACGTTAG").codes(), 4, "standard", "bytes", 14439)
+def test_seeded_corruption_rejected_or_a_valid_index(tmp_path_factory, codes, k, schedule, mode, seed):
+    # 1-3 bytes anywhere in the body set, the body cut or extended by
+    # 1-40 bytes, or an edit that keeps C and the rows valid, all drawn
+    # from `seed`, with the CRC recomputed; a load must reject the file
+    # or give the oracle index of its BWT's text
+    index = construct.build(PackedSequence.from_codes(codes), k=k, schedule=schedule)
+    blob = dumps_index(index)
     rng = random.Random(seed)
 
     def apply(body):
-        if not resize:
+        if mode == "bytes":
             for _ in range(rng.randint(1, 3)):
                 body[rng.randrange(len(body))] = rng.randrange(256)
+        elif mode == "consistent":
+            _consistent_edit(body, index, rng)
         elif rng.random() < 0.5:
             del body[-rng.randint(1, 40) :]
         else:
