@@ -32,7 +32,8 @@ from .packedbuf import PackedBuffer
 class Bwt:
     """Finished BWT string with the sentinel kept as a position: its slot
     stores code A, so occurrence counts for A exclude `dollar_pos`
-    (`saii.occtable.occ_count`).  Indexes compare by `first_mismatch`.
+    (`saii.occtable.occ_count`).  `data` holds `bytes`, so it never
+    changes.  Indexes compare by `first_mismatch`.
     """
 
     data: PackedBuffer
@@ -68,9 +69,10 @@ class SearchRange:
         return self.high - self.low + 1 if self.low <= self.high else 0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FmIndex:
-    """Aggregate of BWT, C array and sampled occurrence table.
+    """Aggregate of BWT, C array and sampled occurrence table, frozen
+    like its `Bwt`, so the table's rows stay those of its BWT.
 
     The length `n` (sentinel included) and sampling rate `k` are read
     from the BWT and the table.  `prefetch_built` records the schedule

@@ -1,16 +1,15 @@
-"""Brute-force reference implementations used as ground truth.
+"""Brute-force reference index used as ground truth by `saii verify`.
 
 Everything here favors being obviously correct over being fast: the
 suffix array comes from prefix doubling with a plain comparison sort
 (O(n) memory, so `saii verify` can check long texts), the BWT from the
-suffix-array definition, and the full occurrence table from direct
-per-position counting.  This module is also the only source of suffix
-arrays; the incremental constructor never builds one.
+suffix-array definition, and C from a tally of the text.  This module
+is also the only source of suffix arrays; the incremental constructor
+never builds one.  Its index is finished like a built one: the BWT
+holds `bytes`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .alphabet import A, PackedSequence
 from .errors import EmptyText
@@ -63,18 +62,6 @@ def bwt_from_suffix_array(text: PackedSequence, sa: list) -> Bwt:
     return Bwt(PackedBuffer.from_codes(codes), dollar_pos)
 
 
-def full_occ_table(bwt: Bwt) -> np.ndarray:
-    """(n, 4) table of sentinel-excluded occurrence counts, row i = O(*, i)."""
-    n = bwt.data.length
-    table = np.zeros((n, 4), dtype=np.int64)
-    running = [0, 0, 0, 0]
-    for i in range(n):
-        if i != bwt.dollar_pos:
-            running[bwt.data.code_at(i)] += 1
-        table[i] = running
-    return table
-
-
 def full_index(text: PackedSequence, k: int = 2048) -> FmIndex:
     """Reference FM-index, its BWT read off the suffix array and C from
     a tally of the text; occ materialized at any k (k = 1 gives a
@@ -83,42 +70,3 @@ def full_index(text: PackedSequence, k: int = 2048) -> FmIndex:
     codes = text.codes()
     c = CArray.from_tally([codes.count(a) for a in range(4)])
     return FmIndex(bwt=bwt, c=c, occ=SampledOccTable.build(bwt, k))
-
-
-def invert_bwt(bwt: Bwt) -> PackedSequence:
-    """Recover the text by walking last-to-first links from the sentinel row.
-
-    Independent of the query machinery: uses the full table directly.
-    ValueError unless the walk is one LF cycle through all n rows.
-    """
-    n = bwt.data.length
-    occ = full_occ_table(bwt)
-    c = CArray.from_tally(occ[-1].tolist()).counts  # the last row excludes the sentinel
-    out = []
-    row = 0
-    while row != bwt.dollar_pos and len(out) < n:
-        code = bwt.data.code_at(row)
-        out.append(code)
-        row = c[code] + int(occ[row][code])
-    if len(out) != n - 1:
-        raise ValueError(f"LF walk from row 0 is not one cycle of {n} rows")
-    out.reverse()
-    return PackedSequence.from_codes(out)
-
-
-def sorted_suffixes(text: PackedSequence) -> list:
-    """Decoded suffixes of text + '$' in lexical order (for desk checking)."""
-    from .alphabet import decode
-
-    s = decode(text) + "$"
-    return [s[i:] for i in suffix_array(text)]
-
-
-def naive_count(text: PackedSequence, query: PackedSequence) -> int:
-    """Occurrences of query in text by direct overlapping scan."""
-    t = text.codes()
-    q = query.codes()
-    m = len(q)
-    if m == 0 or m > len(t):
-        return 0
-    return sum(1 for i in range(len(t) - m + 1) if t[i : i + m] == q)

@@ -6,9 +6,10 @@ least-significant slot first.  Slots at indices >= length are zero by
 construction (`PackedBuffer` refuses a set padding bit), so equal
 buffers have equal payload bytes.  `fold` writes this layout, and
 `count_range` and `count_code` read it, each inline and the same way.
-`PackedBuffer` holds texts and queries (`saii.alphabet.PackedSequence`
-is the same class; a text keeps immutable `bytes`), rope leaves and
-the BWT (a `bytearray`, so they can take insertions).
+`PackedBuffer` holds texts, queries and finished BWTs in `bytes`
+(`saii.alphabet.PackedSequence` is the same class) and `Rope` leaves in
+a `bytearray`: only a leaf takes `insert` and `Rope.set`'s overwrite,
+so no buffer outside a rope ever changes.
 
 A run of packed bytes read as one little-endian Python int holds its
 codes as two bit planes: the low bit of each code at the even bit
@@ -29,7 +30,7 @@ symbols, and finds and ranks a position in O(log(n / LEAF)) steps with
 Fenwick trees over its leaves (the ropebwt2 layout: Li, Bioinformatics
 2014; Fenwick, Software: Practice and Experience 1994); its one flatten
 folds the leaves into one int, so even a lone leaf becomes a new, exact
-buffer.
+`bytes` buffer.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ _PAIRS = ((1 << (_PAIR_SLOTS << 1)) - 1) // 3  # a 01 bit pair per slot
 
 
 class PackedBuffer:
-    """2-bit codes in exactly ceil(length / 4) bytes; a `bytearray`-backed
-    buffer takes insertions and writes anywhere."""
+    """2-bit codes in exactly ceil(length / 4) bytes: `bytes` when
+    finished, a `bytearray` (which takes insertions) in a rope leaf."""
 
     __slots__ = ("_buf", "length")
 
@@ -68,26 +69,23 @@ class PackedBuffer:
         data = bytes(c if 0 <= c <= 3 else BAD for c in codes)
         if (bad := data.find(BAD)) >= 0:
             raise InvalidCharacter(bad, codes[bad])
-        return cls(bytearray().join(fold(data[i : i + CHUNK]) for i in range(0, len(data), CHUNK)), len(data))
+        return cls(b"".join(fold(data[i : i + CHUNK]) for i in range(0, len(data), CHUNK)), len(data))
 
     def code_at(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError(i)
         return (self._buf[i >> 2] >> ((i & 3) << 1)) & 3
 
-    def set(self, i: int, code: int) -> None:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        b = i >> 2
-        shift = (i & 3) << 1
-        self._buf[b] = (self._buf[b] & ~(3 << shift) & 0xFF) | (code << shift)
-
     def insert(self, pos: int, code: int) -> None:
         """Insert `code` at symbol position `pos`, shifting the tail up;
-        the buffer grows by a byte when its last one was full."""
+        the buffer grows by a byte when its last one was full.  TypeError
+        on `bytes`; IndexError, or ValueError for a code outside 0..3,
+        before any write."""
         n = self.length
         if not 0 <= pos <= n:
             raise IndexError(f"insert position {pos} outside [0, {n}]")
+        if code >> 2:
+            raise ValueError(f"code {code} outside 0..3")
         first = pos >> 2
         hi = (n + 4) >> 2  # bytes occupied once length becomes n + 1
         # bytes [first, hi) as one int: bits below the slot stay, the slot
@@ -136,7 +134,7 @@ class PackedBuffer:
         return (high if code >> 1 else x).bit_count() - (x & high).bit_count()
 
     def payload(self) -> bytes:
-        """The packed bytes holding symbols [0, length)."""
+        """The packed bytes of symbols [0, length); a finished buffer's own."""
         return bytes(self._buf)
 
     def codes(self) -> list:
@@ -153,7 +151,7 @@ class PackedBuffer:
 
 
 class Rope:
-    """Codes in `PackedBuffer` leaves of at most `LEAF` symbols.  Fenwick
+    """Codes in `bytearray` leaves of at most `LEAF` symbols.  Fenwick
     trees `_trees[c]` sum code c per leaf, `_trees[4]` the leaf lengths.
     A full leaf splits at its middle byte into two exact halves, so after
     a split every leaf is at least half full."""
@@ -201,8 +199,8 @@ class Rope:
             j += j & -j
 
     def set(self, j: int, off: int, old: int, code: int) -> None:
-        """Overwrite the symbol `old` at offset `off` of leaf j with `code`."""
-        self.leaves[j].set(off, code)
+        """Overwrite the symbol `old` at offset `off` of leaf j with `code`, by one XOR."""
+        self.leaves[j]._buf[off >> 2] ^= (old ^ code) << ((off & 3) << 1)
         gained, lost, m = self._trees[code], self._trees[old], len(self.leaves)
         j += 1
         while j <= m:
@@ -211,9 +209,9 @@ class Rope:
             j += j & -j
 
     def flatten(self) -> PackedBuffer:
-        """The codes as one exact `PackedBuffer`, made once: leaves are
-        popped from the end and folded into one int below the ones after
-        them, each released as it goes in.  A second call raises."""
+        """The codes as one `bytes`-backed `PackedBuffer`, made once: leaves
+        are popped from the end and folded into one int below the ones
+        after them, each released as it goes in.  A second call raises."""
         leaves, n = self.leaves, self.length
         if not leaves:
             raise RuntimeError("rope already flattened")
@@ -222,7 +220,7 @@ class Rope:
         while leaves:
             leaf = leaves.pop()
             x = x << (leaf.length << 1) | int.from_bytes(leaf._buf, "little")
-        return PackedBuffer(bytearray(x.to_bytes((n + 3) >> 2, "little")), n)
+        return PackedBuffer(x.to_bytes((n + 3) >> 2, "little"), n)
 
 
 def _split_node(tree: list, i: int, left: int) -> None:

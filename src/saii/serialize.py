@@ -27,6 +27,7 @@ rows are tallied by the build's row kernel and must match the file's
 byte for byte.  So a file loads only if a build of some text at its k
 writes those bytes, the prefetch flag aside.  Serialization is
 canonical: load followed by dump reproduces the input byte for byte.
+A loaded BWT holds `bytes`, like a built one, so it stays as checked.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def loads_index(blob: bytes) -> FmIndex:
     if len(body) != expected:
         raise IndexFormatError(f"file holds {len(body)} bytes, expected {expected}")
     try:
-        bwt = Bwt(PackedBuffer(bytearray(body[_HEADER.size : rows_at]), n), dollar)
+        bwt = Bwt(PackedBuffer(bytes(body[_HEADER.size : rows_at]), n), dollar)
     except ValueError as err:  # the size is right, so padding bits are set
         raise IndexFormatError(str(err)) from None
     c = CArray([c0, c1, c2, c3])

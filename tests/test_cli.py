@@ -9,11 +9,11 @@ import pytest
 
 import saii
 from saii import cli, construct, oracle
-from saii.alphabet import encode_text
+from saii.alphabet import PackedSequence, encode_text
 from saii.cli import main
 from saii.costmodel import HardwareParams, emit_scaling_table
 from saii.fasta import FastaFormatError, parse_fasta, read_sequences
-from saii.fmindex import first_mismatch
+from saii.fmindex import Bwt, FmIndex, first_mismatch
 from saii.serialize import load_index
 
 from helpers import decode_with_sentinel
@@ -198,11 +198,15 @@ def test_verify_injected_fault_detected(capsys, monkeypatch):
     as_index = construct.SaiiState.as_index
 
     def corrupting_as_index(state, prefetch_built=False):
-        # a build fault: one BWT symbol off after the prefetch schedule
+        # a build fault: one BWT symbol off after the prefetch schedule,
+        # in a new index over the built one's C and rows
         index = as_index(state, prefetch_built)
         if prefetch_built:
             pos = 0 if index.bwt.dollar_pos != 0 else 1
-            index.bwt.data.set(pos, index.bwt.data.code_at(pos) ^ 1)
+            codes = index.bwt.data.codes()
+            codes[pos] ^= 1
+            bwt = Bwt(PackedSequence.from_codes(codes), index.bwt.dollar_pos)
+            index = FmIndex(bwt=bwt, c=index.c, occ=index.occ, prefetch_built=True)
         return index
 
     monkeypatch.setattr(construct.SaiiState, "as_index", corrupting_as_index)

@@ -179,12 +179,14 @@ def test_empty_text_rejected():
 
 def test_built_bwt_has_no_slack():
     # a 1,000-bp build is one leaf that grew byte by byte; the flatten
-    # copies it into an exact buffer rather than keeping its growth slack
+    # copies it into exact `bytes` rather than keeping its growth slack
     text = random_text(random.Random(21), 1000, min_len=1000)
+    expected = oracle.full_index(text, k=64).bwt.payload()
     for schedule in ("standard", "prefetch"):
         buf = construct.build(text, k=64, schedule=schedule).bwt.data._buf
         assert len(buf) == (1001 + 3) // 4
-        assert sys.getsizeof(buf) == sys.getsizeof(bytearray(bytes(buf)))
+        assert type(buf) is bytes and buf == expected
+        assert sys.getsizeof(buf) == sys.getsizeof(bytes(len(buf)))
 
 
 def test_unknown_schedule_rejected():

@@ -24,7 +24,7 @@ from saii.occtable import SampledOccTable
 from saii.packedbuf import PackedBuffer
 from saii.serialize import dumps_index, loads_index
 
-from helpers import record_count_reads
+from helpers import full_occ_table, naive_count, record_count_reads, sorted_suffixes
 
 texts = st.lists(st.integers(0, 3), min_size=1, max_size=64).map(PackedSequence.from_codes)
 
@@ -189,7 +189,7 @@ def test_one_row_step_reads_its_symbol(monkeypatch):
     # with no scan, and the one occ_count reads the rank directory;
     # the sentinel's row matches no code
     index = oracle.full_index(encode_text("ACGCTTGACGTTAG"), k=4)
-    occ = oracle.full_occ_table(index.bwt)
+    occ = full_occ_table(index.bwt)
     reads = record_count_reads(monkeypatch)
     for row in range(index.n):
         for c in range(4):
@@ -220,7 +220,7 @@ def test_bracket_examples():
     index = oracle.full_index(encode_text("ACGCTTG"), k=4)
     rng = search(index, encode_text("CA"))
     assert rng.count == 0
-    sufs = oracle.sorted_suffixes(encode_text("ACGCTTG"))
+    sufs = sorted_suffixes(encode_text("ACGCTTG"))
     assert sufs[rng.low - 1] == "ACGCTTG$"
     assert sufs[rng.low] == "CGCTTG$"
     rng = search(index, encode_text("TTT"))
@@ -238,7 +238,7 @@ def test_search_wide_intervals(k, occ_calls, monkeypatch):
     rng = random.Random(13)
     text = PackedSequence.from_codes([rng.randrange(4) for _ in range(5000)])
     index = construct.build(text, k=k)
-    sufs = oracle.sorted_suffixes(text)
+    sufs = sorted_suffixes(text)
     queries = [list(q) for m in range(1, 5) for q in itertools.product(range(4), repeat=m)]
     queries += [[rng.randrange(4) for _ in range(7)] for _ in range(200)]
     reads = record_count_reads(monkeypatch)
@@ -246,7 +246,7 @@ def test_search_wide_intervals(k, occ_calls, monkeypatch):
     for q in queries:
         query = PackedSequence.from_codes(q)
         found = search(index, query)
-        assert found.count == oracle.naive_count(text, query), q
+        assert found.count == naive_count(text, query), q
         assert found.low == bisect_left(sufs, decode(query)), q
         steps += len(q)
         misses += not found.count
@@ -272,14 +272,14 @@ def test_count_exhaustive_small():
         text = PackedSequence.from_codes(list(tcodes))
         index = oracle.full_index(text, k=2)
         for query in queries:
-            assert count(index, query) == oracle.naive_count(text, query)
+            assert count(index, query) == naive_count(text, query)
 
 
 @settings(max_examples=300, deadline=None)
 @given(texts, st.lists(st.integers(0, 3), min_size=1, max_size=8).map(PackedSequence.from_codes))
 def test_count_matches_naive_scan(text, query):
     index = oracle.full_index(text, k=4)
-    assert count(index, query) == oracle.naive_count(text, query)
+    assert count(index, query) == naive_count(text, query)
 
 
 @settings(max_examples=300, deadline=None)
@@ -290,7 +290,7 @@ def test_bracket_property_on_misses(text, query):
     if rng.count:
         return
     low = rng.low
-    sufs = oracle.sorted_suffixes(text)
+    sufs = sorted_suffixes(text)
     q = decode(query)
     if low > 0:
         assert sufs[low - 1] < q
@@ -329,3 +329,24 @@ def test_index_equality_is_first_mismatch():
     for field, other in variants.items():
         assert first_mismatch(std, other) == field
         assert std != other and not std == other
+
+
+def test_finished_buffers_are_bytes():
+    # texts and every finished BWT hold immutable bytes, so no index can
+    # change under its checkpoint rows or rank directory; only rope
+    # leaves take insertions
+    text = encode_text("ACGTTGCAACGT" * 8)
+    built = [construct.build(text, k=4, schedule=s) for s in ("standard", "prefetch")]
+    indexes = built + [loads_index(dumps_index(built[0])), oracle.full_index(text, k=4)]
+    buffers = [text, PackedSequence.from_codes(text.codes())] + [index.bwt.data for index in indexes]
+    for buf in buffers:
+        assert type(buf._buf) is bytes
+        before = buf.payload(), buf.length
+        with pytest.raises(TypeError):
+            buf.insert(0, 1)
+        assert (buf.payload(), buf.length) == before
+    for index in indexes:
+        assert index.bwt.payload() is index.bwt.data._buf
+        assert search(index, encode_text("TTG")) == SearchRange(89, 96)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            index.bwt = built[1].bwt

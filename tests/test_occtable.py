@@ -6,10 +6,11 @@ import pytest
 from saii import construct, oracle
 from saii.alphabet import PackedSequence, encode_text
 from saii.errors import SaiiError
+from saii.fmindex import Bwt
 from saii.occtable import SampledOccTable, occ_count
 from saii.serialize import dumps_index, loads_index
 
-from helpers import record_count_reads
+from helpers import full_occ_table, record_count_reads
 
 
 def make_bwt(text):
@@ -23,7 +24,7 @@ def test_checkpoints_against_full_table():
         codes = [rng.randrange(4) for _ in range(rng.randint(1, 256))]
         text = PackedSequence.from_codes(codes)
         bwt = make_bwt(text)
-        full = oracle.full_occ_table(bwt)
+        full = full_occ_table(bwt)
         n = bwt.data.length
         for k in (2, 4, 16, 2048):
             table = SampledOccTable.build(bwt, k)
@@ -41,7 +42,7 @@ def test_checkpoint_rows_against_full_table():
     rng = random.Random(31)
     for length in [1, 2, 3, 4, 5, 6, 63, 64, 2047, 2048, 4095, 4096, 4097, 5000]:
         bwt = make_bwt(PackedSequence.from_codes([rng.randrange(4) for _ in range(length)]))
-        full = oracle.full_occ_table(bwt)
+        full = full_occ_table(bwt)
         for k in (1, 3, 7, 64, 2048, 4096):
             ends = np.arange(k, bwt.data.length + 1, k)
             expected = np.zeros((len(ends) + 1, 4), dtype=np.int64)
@@ -58,7 +59,7 @@ def test_occ_count_reads_one_word(k, monkeypatch):
     for n in (64, 65, 80):
         text = PackedSequence.from_codes([rng.randrange(4) for _ in range(n - 1)])
         bwt = make_bwt(text)
-        full = oracle.full_occ_table(bwt)
+        full = full_occ_table(bwt)
         table = SampledOccTable.build(bwt, k)
         reads = record_count_reads(monkeypatch)
         for a in range(4):
@@ -110,15 +111,17 @@ def test_rebuild_from_partial():
     bwt = make_bwt(PackedSequence.from_codes(codes))
     k = 8
     table = SampledOccTable.build(bwt, k)
-    # mutate one symbol, then refresh only the blocks that can be stale
+    # edit one symbol in a second BWT, then refresh only the blocks that
+    # can be stale
     pos = 117
-    old = bwt.data.code_at(pos)
-    bwt.data.set(pos, (old + 1) % 4)
     occ_count(table, bwt, 0, 0)  # a directory of the BWT before the edit
+    edited = bwt.data.codes()
+    edited[pos] = (edited[pos] + 1) % 4
+    bwt = Bwt(PackedSequence.from_codes(edited), bwt.dollar_pos)
     table.rebuild_from(bwt, pos // k)
     assert table._rank is None
     assert np.array_equal(table.checkpoints(), SampledOccTable.build(bwt, k).checkpoints())
-    full = oracle.full_occ_table(bwt)
+    full = full_occ_table(bwt)
     for a in range(4):
         for i in range(bwt.data.length):
             assert occ_count(table, bwt, a, i) == int(full[i][a]), (a, i)

@@ -9,7 +9,7 @@ from saii.alphabet import PackedSequence
 from saii.errors import InvalidCharacter
 from saii.packedbuf import PackedBuffer, Rope
 
-from helpers import packed_bytes, traced
+from helpers import leaf, packed_bytes, traced
 
 codes_lists = st.lists(st.integers(0, 3), max_size=300)
 
@@ -20,16 +20,16 @@ codes_lists = st.lists(st.integers(0, 3), max_size=300)
 @example([2] * 128 + [1])
 def test_from_codes_roundtrip(codes):
     buf = PackedBuffer.from_codes(codes)
-    assert buf.codes() == codes and isinstance(buf._buf, bytearray)
+    assert buf.codes() == codes and type(buf._buf) is bytes
     assert buf.payload() == packed_bytes(codes) == PackedBuffer.from_codes(tuple(codes)).payload()
     assert len(buf.payload()) == (len(codes) + 3) // 4
     # a bytes-backed text and a bytearray-backed leaf of the same codes
     # are one type and read alike
     n = len(codes)
-    text = PackedBuffer(packed_bytes(codes), n)
-    assert text == buf and text.payload() == buf.payload() and text.codes() == codes
-    assert [text.code_at(i) for i in range(n)] == [buf.code_at(i) for i in range(n)] == codes
-    assert text.count_range(0, n) == buf.count_range(0, n) == [codes.count(a) for a in range(4)]
+    grown = leaf(codes)
+    assert grown == buf and grown.payload() == buf.payload() and grown.codes() == codes
+    assert [grown.code_at(i) for i in range(n)] == [buf.code_at(i) for i in range(n)] == codes
+    assert grown.count_range(0, n) == buf.count_range(0, n) == [codes.count(a) for a in range(4)]
     for i in (-1, n):
         with pytest.raises(IndexError):
             buf.code_at(i)
@@ -77,17 +77,29 @@ def test_negative_length_rejected(length):
 @given(codes_lists, st.integers(0, 3), st.data())
 def test_insert_matches_list_model(codes, code, data):
     pos = data.draw(st.integers(0, len(codes)))
-    buf = PackedBuffer.from_codes(codes)
+    buf = leaf(codes)
     buf.insert(pos, code)
     model = codes[:pos] + [code] + codes[pos:]
     assert buf.codes() == model
+
+
+@pytest.mark.parametrize("code", [4, -1, 7, -4])
+def test_insert_rejects_codes_outside_0_to_3(code):
+    # 4 would set the padding bit above the last slot, and -1 every bit
+    # from its slot up; the buffer is left as it was
+    for codes in ([1, 2], [1, 2, 3, 0], []):
+        buf = leaf(codes)
+        for pos in range(len(codes) + 1):
+            with pytest.raises(ValueError):
+                buf.insert(pos, code)
+            assert buf.length == len(codes) and buf._buf == packed_bytes(codes)
 
 
 def test_long_tail_inserts_match_list_model():
     # long tails, up to the whole 5,000-symbol buffer
     rng = random.Random(7)
     codes = [rng.randrange(4) for _ in range(5000)]
-    buf = PackedBuffer.from_codes(codes)
+    buf = leaf(codes)
     model = list(codes)
     for _ in range(60):
         pos = rng.randrange(len(model) + 1)
@@ -105,7 +117,7 @@ def test_insert_path_boundaries():
         codes = [(i * 7 + i // 5) % 4 for i in range(n)]
         for tail in (0, 1, 2, 3, 4095, 4096, 4097):
             pos = n - tail
-            buf = PackedBuffer.from_codes(codes)
+            buf = leaf(codes)
             buf.insert(pos, 2)
             model = codes[:pos] + [2] + codes[pos:]
             assert buf.payload() == packed_bytes(model), (n, tail)
@@ -127,14 +139,14 @@ def test_insert_allocation_bounded_by_tail():
     bound = 8192
     for n in (65_537, 65_536):
         assert bound < n // 4
-        buf = PackedBuffer.from_codes([i % 4 for i in range(n)])
+        buf = leaf([i % 4 for i in range(n)])
         moved = (n % 4 == 0) * 5 * (n // 4) // 4
         assert traced(lambda: buf.insert(n - 4095, 1))[2] < bound + moved
         assert traced(lambda: buf.insert(n - 4095, 1))[2] < bound
 
 
 def test_unused_slots_stay_zero():
-    buf = PackedBuffer.from_codes([3, 3, 3])
+    buf = leaf([3, 3, 3])
     buf.insert(0, 3)
     buf.insert(4, 3)
     payload = buf.payload()
@@ -205,19 +217,6 @@ def test_count_bytes_and_bytearray_match():
                 assert [buf.count_code(a, start, stop) for a in range(4)] == expected
 
 
-def test_set_out_of_range_raises():
-    # a write past either end would land in a padding slot, or the last
-    # byte's top slot for i = -1, and break equality with the codes
-    codes = [1, 2, 3, 0, 1]
-    for i in (len(codes), -1):
-        buf = PackedBuffer.from_codes(codes)
-        with pytest.raises(IndexError):
-            buf.set(i, 3)
-        assert buf.payload() == b"9\x01" and buf == PackedBuffer.from_codes(codes)
-    buf.set(4, 3)
-    assert buf.codes() == [1, 2, 3, 0, 3]
-
-
 def test_insert_into_exact_buffer():
     # every position and code on buffers of 0..12 codes: a buffer holds
     # exactly ceil(length / 4) bytes, so it grows by one byte exactly
@@ -226,7 +225,7 @@ def test_insert_into_exact_buffer():
         codes = [(i * 3 + i // 2) % 4 for i in range(n)]
         for pos in range(n + 1):
             for code in range(4):
-                buf = PackedBuffer.from_codes(codes)
+                buf = leaf(codes)
                 buf.insert(pos, code)
                 model = codes[:pos] + [code] + codes[pos:]
                 assert len(buf._buf) == (n + 3) // 4 + (n % 4 == 0), (n, pos)
@@ -241,7 +240,7 @@ def test_insert_into_full_buffer_raises(tail):
     # and leaves it as it was, padding slots included
     codes = [i % 4 for i in range(4104)]
     for pos in (-1 - tail, len(codes) + 1 + tail):
-        buf = PackedBuffer.from_codes(codes)
+        buf = leaf(codes)
         with pytest.raises(IndexError):
             buf.insert(pos, 1)
         assert buf.length == len(codes) and buf.payload() == packed_bytes(codes)
@@ -251,14 +250,13 @@ def test_insert_into_full_buffer_raises(tail):
     assert buf.payload() == packed_bytes(model)
 
 
-
 def test_rope_flatten_over_odd_leaf_lengths(monkeypatch):
     # 8-symbol leaves split into 4 + 4 and grow one symbol at a time, so
     # leaves end at every slot offset of a byte
     monkeypatch.setattr(packedbuf, "LEAF", 8)
     rng = random.Random(9)
     model = [2, 1, 3]
-    rope = Rope(PackedBuffer.from_codes(model))
+    rope = Rope(leaf(model))
     for _ in range(300):
         pos, code = rng.randrange(len(model) + 1), rng.randrange(4)
         j, off, before = rope.locate(pos, code)
@@ -281,7 +279,7 @@ def test_rope_set_keeps_ranks(monkeypatch):
     monkeypatch.setattr(packedbuf, "LEAF", 8)
     rng = random.Random(10)
     model = [rng.randrange(4) for _ in range(40)]
-    rope = Rope(PackedBuffer.from_codes(model[:1]))
+    rope = Rope(leaf(model[:1]))
     for pos in range(1, len(model)):
         rope.insert(*rope.locate(pos, 0)[:2], model[pos])
     for _ in range(200):
