@@ -43,20 +43,21 @@ class Bwt:
         return self.data.payload()
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class CArray:
-    """counts[a] = number of text symbols lexically smaller than a.
+    """counts[a] = number of text symbols lexically smaller than a, a
+    tuple, so an index's C cannot change under its BWT.
 
     The sentinel is lexically smallest but is never counted here; the
     +1 in the backward-search lower bound is its offset.
     """
 
-    counts: list
+    counts: tuple
 
     @classmethod
     def from_tally(cls, tally) -> "CArray":
         """C of a text whose per-code symbol counts are `tally`."""
-        return cls(list(accumulate(tally[:3], initial=0)))
+        return cls(tuple(accumulate(tally[:3], initial=0)))
 
 
 @dataclass(frozen=True, slots=True)

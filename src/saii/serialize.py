@@ -83,7 +83,7 @@ def loads_index(blob: bytes) -> FmIndex:
         bwt = Bwt(PackedBuffer(bytes(body[_HEADER.size : rows_at]), n), dollar)
     except ValueError as err:  # the size is right, so padding bits are set
         raise IndexFormatError(str(err)) from None
-    c = CArray([c0, c1, c2, c3])
+    c = CArray((c0, c1, c2, c3))
     occ = _check_consistent(bwt, c, k, body[rows_at:])
     return FmIndex(bwt=bwt, c=c, occ=occ, prefetch_built=bool(flags & _FLAG_PREFETCH))
 

@@ -13,9 +13,9 @@ from saii.packedbuf import PackedBuffer
 
 
 def leaf(codes) -> PackedBuffer:
-    """A `bytearray`-backed buffer of `codes`, like a rope leaf: the one
+    """An int-backed buffer of `codes`, like a construction leaf: the one
     kind of buffer that takes `insert`."""
-    return PackedBuffer(bytearray(PackedBuffer.from_codes(codes).payload()), len(codes))
+    return PackedBuffer(int.from_bytes(PackedBuffer.from_codes(codes).payload(), "little"), len(codes))
 
 
 def full_occ_table(bwt) -> np.ndarray:

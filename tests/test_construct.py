@@ -1,4 +1,5 @@
 import copy
+import os
 import random
 import sys
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import saii
 from saii import construct, oracle, packedbuf
 from saii.alphabet import PackedSequence, decode, encode_text
 from saii.errors import CapacityExceeded, EmptyText, InvalidParams
 from saii.fmindex import first_mismatch, search
 from saii.occtable import SampledOccTable
 from saii.packedbuf import PackedBuffer
+from saii.serialize import dumps_index
 
 from helpers import decode_with_sentinel, traced
 
@@ -27,22 +30,27 @@ def snapshot(state):
     return copy.deepcopy(state).as_index()
 
 
+def held_symbols(state) -> int:
+    return sum(leaf.length for leaf in state.leaves)
+
+
 def test_init_state():
     state = construct.init_state(4)
-    assert state.q == 0 and not state.pending and state.rope.length == 1
+    assert state.q == 0 and not state.pending and held_symbols(state) == 1
     index = snapshot(state)
     assert decode_with_sentinel(index.bwt) == "$"
-    assert index.c.counts == [0, 0, 0, 0]
+    assert index.c.counts == (0, 0, 0, 0)
     assert list(index.occ.checkpoints()[0]) == [0, 0, 0, 0]
     assert index.occ.checkpoints().shape == (1, 4)
-    assert len(state.rope.leaves[0]._buf) == 1
+    # one leaf, exactly the sentinel's slot holding A = 0
+    assert [(leaf.length, leaf._buf) for leaf in state.leaves] == [(1, 0)]
 
 
 def test_single_step_counts():
     for code in range(4):
         state = construct.init_state(4)
         construct.step(state, code)
-        assert state.rope.length == 2
+        assert held_symbols(state) == 2
         assert not state.pending
         index = snapshot(state)
         raw = index.bwt.data.count_range(0, 2)
@@ -64,7 +72,7 @@ def test_build_worked_example():
     index = construct.build(encode_text("ACGCTTG"), k=4)
     assert decode_with_sentinel(index.bwt) == "G$AGTCTC"
     assert index.bwt.dollar_pos == 1
-    assert index.c.counts == [0, 1, 3, 5]
+    assert index.c.counts == (0, 1, 3, 5)
 
 
 def test_build_single_character():
@@ -82,7 +90,7 @@ def test_build_acgct_stepwise_matches_oracle_suffixes():
         expected = oracle.full_index(PackedSequence.from_codes(text.codes()[i:]), k=2)
         assert first_mismatch(snapshot(state), expected) is None
         assert not state.pending
-        assert state.rope.length == len(codes) - i + 1
+        assert held_symbols(state) == len(codes) - i + 1
 
 
 def test_incremental_states_match_oracle_random():
@@ -131,7 +139,7 @@ def test_prefetch_q_sequence_and_final_state():
             q_std.append(construct.step(std, codes[i]))
             q_pre.append(construct.prefetch_step(pre, codes[i]))
         assert q_std == q_pre
-        assert pre.pending and pre.rope.length == std.rope.length - 1
+        assert pre.pending and held_symbols(pre) == held_symbols(std) - 1
         construct.prefetch_flush(pre)
         assert not pre.pending and pre.q == std.q
         assert first_mismatch(std.as_index(), pre.as_index()) is None
@@ -143,13 +151,13 @@ def test_prefetch_intermediate_states_lag_by_one():
     pre = construct.init_state(4)
     for i in range(len(codes) - 1, -1, -1):
         q = construct.prefetch_step(pre, codes[i])
-        # the rope is one short: the sentinel is pending at row q
-        assert pre.rope.length == len(codes) - i
+        # the leaves are one short: the sentinel is pending at row q
+        assert held_symbols(pre) == len(codes) - i
         assert pre.pending
         assert pre.q == q
         expected = oracle.full_index(PackedSequence.from_codes(text.codes()[i:]), k=4)
         assert first_mismatch(snapshot(pre), expected) is None
-        assert pre.rope.length == len(codes) - i
+        assert held_symbols(pre) == len(codes) - i
     construct.prefetch_flush(pre)
     assert not pre.pending
     assert first_mismatch(pre.as_index(), oracle.full_index(text, k=4)) is None
@@ -229,12 +237,12 @@ def test_rope_states_match_oracle_after_every_step(codes, k, leaf):
             assert first_mismatch(snapshot(std), expected) is None
             assert first_mismatch(snapshot(pre), expected) is None
         # a text of `leaf` symbols or more has split its first leaf
-        assert (len(std.rope.leaves) > 1) == (len(codes) >= leaf)
+        assert (len(std.leaves) > 1) == (len(codes) >= leaf)
 
 
 def test_rope_memory_bound(monkeypatch):
     # 5,000 bp in 64-symbol leaves: every leaf at least half full and
-    # exactly as long as its symbols just before the flatten
+    # exactly its symbols just before the flatten, no bit past them set
     monkeypatch.setattr(packedbuf, "LEAF", 64)
     text = random_text(random.Random(48), 5000, min_len=5000)
     codes = text.codes()
@@ -244,11 +252,11 @@ def test_rope_memory_bound(monkeypatch):
         for code in reversed(codes):
             advance(state, code)
         construct.prefetch_flush(state)
-        leaves = state.rope.leaves
-        assert state.rope.length == sum(leaf.length for leaf in leaves) == n
+        leaves = state.leaves
+        assert held_symbols(state) == n
         assert all(leaf.length >= 32 for leaf in leaves)
-        assert sum(len(leaf._buf) for leaf in leaves) == sum(-(-leaf.length // 4) for leaf in leaves)
-        assert all(len(tree) == len(leaves) + 1 <= n // 32 + 1 for tree in state.rope._trees)
+        assert all(type(leaf._buf) is int and leaf._buf.bit_length() <= 2 * leaf.length for leaf in leaves)
+        assert all(len(tree) == len(leaves) + 1 <= n // 32 + 1 for tree in state.trees)
         index = state.as_index()
         assert len(index.bwt.data._buf) == (n + 3) // 4
         assert first_mismatch(index, oracle.full_index(text, k=64)) is None
@@ -280,6 +288,46 @@ def test_build_memory_does_not_depend_on_k():
         assert first_mismatch(index, oracle.full_index(text, k=k)) is None
     assert held[2048] > 1024
     assert abs(held[1] - held[2048]) < 256
+
+
+def test_state_memory_against_index_file():
+    # after the last standard step the state holds its leaves (one int
+    # each), five Fenwick lists and C: at most 3.0x the index file
+    text = random_text(random.Random(50), 4096, min_len=4096)
+    held, index = held_by_build(text.codes(), 2048)
+    assert first_mismatch(index, oracle.full_index(text, k=2048)) is None
+    assert held <= 3.0 * len(dumps_index(index))
+
+
+def saii_calls(call) -> int:
+    """Python calls into the `saii` package while `call` runs, counted
+    with `sys.setprofile`."""
+    package = os.path.dirname(saii.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_calls_per_symbol():
+    # the build's work counter, exact for a seeded text: per symbol the
+    # standard schedule calls step, prefetch_step, count_code, the slot
+    # read count_code makes, prefetch_flush and insert, and the prefetch
+    # schedule all but step and prefetch_flush; leaf splits, the 32-symbol
+    # text runs and the finish add the rest
+    text = random_text(random.Random(26), 3000, min_len=3000)
+    calls = {s: saii_calls(lambda s=s: construct.build(text, k=2048, schedule=s)) for s in ("standard", "prefetch")}
+    assert calls == {"standard": 18_144, "prefetch": 12_144}
+    assert calls["standard"] <= 7 * 3000 and calls["prefetch"] <= 5 * 3000
 
 
 @pytest.mark.parametrize("schedule", ["standard", "prefetch"])

@@ -29,7 +29,7 @@ from helpers import full_occ_table, naive_count, record_count_reads, sorted_suff
 texts = st.lists(st.integers(0, 3), min_size=1, max_size=64).map(PackedSequence.from_codes)
 
 
-def built_c(text: PackedSequence) -> list:
+def built_c(text: PackedSequence) -> tuple:
     """C as a build keeps it, step by step; it must equal the oracle's tally."""
     counts = construct.build(text, k=4).c.counts
     assert counts == oracle.full_index(text, k=4).c.counts
@@ -37,9 +37,9 @@ def built_c(text: PackedSequence) -> list:
 
 
 def test_c_array_examples():
-    assert built_c(encode_text("ACGCTTG")) == [0, 1, 3, 5]
-    assert built_c(encode_text("AAAA")) == [0, 4, 4, 4]
-    assert built_c(encode_text("T")) == [0, 0, 0, 0]
+    assert built_c(encode_text("ACGCTTG")) == (0, 1, 3, 5)
+    assert built_c(encode_text("AAAA")) == (0, 4, 4, 4)
+    assert built_c(encode_text("T")) == (0, 0, 0, 0)
 
 
 def test_c_array_invariants():
@@ -302,7 +302,9 @@ def test_first_mismatch_reports_field():
     a = oracle.full_index(encode_text("ACGCTTG"), k=4)
     b = oracle.full_index(encode_text("ACGCTTG"), k=4)
     assert first_mismatch(a, b) is None
-    b.c.counts[2] += 1
+    counts = list(b.c.counts)
+    counts[2] += 1
+    b = dataclasses.replace(b, c=CArray(tuple(counts)))
     assert first_mismatch(a, b) == "c"
     b2 = oracle.full_index(encode_text("ACGCTTT"), k=4)
     assert first_mismatch(a, b2) in {"bwt", "dollar_pos"}
@@ -321,7 +323,7 @@ def test_index_equality_is_first_mismatch():
     flip = 0 if std.bwt.dollar_pos else 1
     codes[flip] ^= 1
     variants = {
-        "c": dataclasses.replace(std, c=CArray([0, 1, 2, 3])),
+        "c": dataclasses.replace(std, c=CArray((0, 1, 2, 3))),
         "dollar_pos": dataclasses.replace(std, bwt=Bwt(std.bwt.data, std.bwt.dollar_pos + 1)),
         "bwt": dataclasses.replace(std, bwt=Bwt(PackedBuffer.from_codes(codes), std.bwt.dollar_pos)),
         "k": dataclasses.replace(std, occ=SampledOccTable.build(std.bwt, 5)),
@@ -333,7 +335,7 @@ def test_index_equality_is_first_mismatch():
 
 def test_finished_buffers_are_bytes():
     # texts and every finished BWT hold immutable bytes, so no index can
-    # change under its checkpoint rows or rank directory; only rope
+    # change under its checkpoint rows or rank directory; only construction
     # leaves take insertions
     text = encode_text("ACGTTGCAACGT" * 8)
     built = [construct.build(text, k=4, schedule=s) for s in ("standard", "prefetch")]
@@ -350,3 +352,19 @@ def test_finished_buffers_are_bytes():
         assert search(index, encode_text("TTG")) == SearchRange(89, 96)
         with pytest.raises(dataclasses.FrozenInstanceError):
             index.bwt = built[1].bwt
+
+
+def test_c_array_is_frozen():
+    # an index's C is a tuple in a frozen CArray, so, like its BWT, it
+    # cannot change under the index: built, loaded or the oracle's
+    text = encode_text("ACGTTGCAACGT" * 8)
+    built = [construct.build(text, k=4, schedule=s) for s in ("standard", "prefetch")]
+    indexes = built + [loads_index(dumps_index(built[0])), oracle.full_index(text, k=4)]
+    for index in indexes:
+        assert type(index.c.counts) is tuple
+        with pytest.raises(TypeError):
+            index.c.counts[3] += 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            index.c.counts = [0, 0, 0, 0]
+        assert search(index, encode_text("TTG")) == SearchRange(89, 96)
+        assert loads_index(dumps_index(index)) == index

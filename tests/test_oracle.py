@@ -149,7 +149,7 @@ def test_full_occ_table_row_sums():
 def test_full_index_fields():
     text = encode_text("ACGCTTG")
     index = oracle.full_index(text, k=4)
-    assert index.c.counts == [0, 1, 3, 5]
+    assert index.c.counts == (0, 1, 3, 5)
     assert oracle.suffix_array(text) == [7, 0, 1, 3, 6, 2, 5, 4]
     assert index.n == 8
     table = full_occ_table(index.bwt)

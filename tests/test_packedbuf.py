@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from saii import packedbuf
+from saii import construct, oracle, packedbuf
 from saii.alphabet import PackedSequence
 from saii.errors import InvalidCharacter
-from saii.packedbuf import PackedBuffer, Rope
+from saii.packedbuf import LEAF, PackedBuffer
 
 from helpers import leaf, packed_bytes, traced
 
@@ -23,18 +23,27 @@ def test_from_codes_roundtrip(codes):
     assert buf.codes() == codes and type(buf._buf) is bytes
     assert buf.payload() == packed_bytes(codes) == PackedBuffer.from_codes(tuple(codes)).payload()
     assert len(buf.payload()) == (len(codes) + 3) // 4
-    # a bytes-backed text and a bytearray-backed leaf of the same codes
-    # are one type and read alike
+    # a bytes-backed text and an int-backed leaf of the same codes are
+    # one type and read alike
     n = len(codes)
     grown = leaf(codes)
+    assert type(grown._buf) is int and grown._buf.bit_length() <= 2 * n
     assert grown == buf and grown.payload() == buf.payload() and grown.codes() == codes
     assert [grown.code_at(i) for i in range(n)] == [buf.code_at(i) for i in range(n)] == codes
     assert grown.count_range(0, n) == buf.count_range(0, n) == [codes.count(a) for a in range(4)]
+    assert [grown.count_code(a, 0, n) for a in range(4)] == [buf.count_code(a, 0, n) for a in range(4)]
+    assert grown.slots(0, n) == buf.slots(0, n) == int.from_bytes(buf.payload(), "little")
+    start, stop = n // 3, n - n // 4
+    mid = sum(c << 2 * i for i, c in enumerate(codes[start:stop]))
+    assert grown.slots(start, stop) == buf.slots(start, stop) == mid
     for i in (-1, n):
         with pytest.raises(IndexError):
             buf.code_at(i)
     with pytest.raises(ValueError):
-        PackedBuffer(bytearray(2), 4)
+        PackedBuffer(bytes(2), 4)
+    # bytes or an int, nothing mutable
+    with pytest.raises(TypeError):
+        PackedBuffer(bytearray(buf.payload()), n)
 
 
 @pytest.mark.parametrize(
@@ -51,19 +60,25 @@ def test_from_codes_rejects_codes_outside_0_to_3(codes, at):
 
 @pytest.mark.parametrize("length", [1, 2, 3, 5, 4103])
 def test_set_padding_bits_refused(length):
-    # each padding bit of the last byte, alone, in bytes and a bytearray:
-    # a buffer's payload is its codes, so equal codes compare equal
+    # each padding bit of the last byte, alone, in bytes and an int, and
+    # the bit above them in an int: a buffer's payload is its codes, so
+    # equal codes compare equal
     used = (length & 3) << 1
     data = packed_bytes([3] * length)
-    for payload in (data, bytearray(data)):
+    for payload in (data, int.from_bytes(data, "little")):
         assert PackedBuffer(payload, length) == PackedBuffer.from_codes([3] * length)
-    for bit in range(used, 8):
-        dirty = data[:-1] + bytes([data[-1] | 1 << bit])
-        for payload in (dirty, bytearray(dirty)):
+    for bit in range(used, 9):
+        dirty = data[:-1] + bytes([data[-1] | 1 << bit]) if bit < 8 else data
+        value = int.from_bytes(data, "little") | 1 << (8 * (len(data) - 1) + bit)
+        for payload in (dirty, value) if bit < 8 else (value,):
             with pytest.raises(ValueError, match="padding bits"):
                 PackedBuffer(payload, length)
     with pytest.raises(ValueError, match="padding bits"):
         PackedSequence(b"\xff", 1)
+    with pytest.raises(ValueError, match="padding bits"):
+        PackedBuffer(4, 1)
+    with pytest.raises(ValueError):
+        PackedBuffer(-1, length)
 
 
 @pytest.mark.parametrize("length", [-1, -2, -3, -4])
@@ -92,7 +107,7 @@ def test_insert_rejects_codes_outside_0_to_3(code):
         for pos in range(len(codes) + 1):
             with pytest.raises(ValueError):
                 buf.insert(pos, code)
-            assert buf.length == len(codes) and buf._buf == packed_bytes(codes)
+            assert buf.length == len(codes) and buf.payload() == packed_bytes(codes)
 
 
 def test_long_tail_inserts_match_list_model():
@@ -131,18 +146,16 @@ def test_count_code_allocation():
 
 
 def test_insert_allocation_bounded_by_tail():
-    # an insertion holds a few copies of the tail's packed bytes (1 KB
-    # here), never of the buffer's 16 KB, while the last byte has a free
-    # slot; when it is full, the one-byte growth may also move the buffer
-    # once (CPython over-allocates it, so the next insertion does not).
-    # Construction inserts only into leaves of at most LEAF / 4 bytes.
-    bound = 8192
-    for n in (65_537, 65_536):
-        assert bound < n // 4
-        buf = leaf([i % 4 for i in range(n)])
-        moved = (n % 4 == 0) * 5 * (n // 4) // 4
-        assert traced(lambda: buf.insert(n - 4095, 1))[2] < bound + moved
-        assert traced(lambda: buf.insert(n - 4095, 1))[2] < bound
+    # an insertion into an int leaf makes a new int of the whole leaf,
+    # so construction inserts only into leaves of at most LEAF symbols,
+    # LEAF / 4 bytes: an insertion into a full one, anywhere, holds a few
+    # copies of those bytes at most, and leaves only the new int held
+    bound = 4 * (LEAF // 4)
+    for n in (LEAF - 1, LEAF):
+        for pos in (0, 1, n // 2, n - 5, n):
+            buf = leaf([(i * 7 + i // 3) % 4 for i in range(n)])
+            _, held, peak = traced(lambda: buf.insert(pos, 3))
+            assert peak < bound and held < 2 * (LEAF // 4)
 
 
 def test_unused_slots_stay_zero():
@@ -196,9 +209,9 @@ def test_counts_leave_no_memory_behind():
     assert held < 1024
 
 
-def test_count_bytes_and_bytearray_match():
-    # count_range and count_code read immutable packed bytes and
-    # bytearrays alike; buffers of 0-12 codes take every range, so ranges
+def test_count_bytes_and_int_match():
+    # count_range and count_code read packed bytes and int-backed leaves
+    # alike; buffers of 0-12 codes take every range, so ranges
     # start and stop in one byte and zero padding slots sit under code 0
     rng = random.Random(3)
     for length in list(range(13)) + [63, 64, 65, 1000]:
@@ -211,16 +224,16 @@ def test_count_bytes_and_bytearray_match():
             ranges += [(length, length), (length, 0)]
         for start, stop in ranges:
             expected = [codes[start:stop].count(a) for a in range(4)]
-            for data in (payload, bytearray(payload)):
+            for data in (payload, int.from_bytes(payload, "little")):
                 buf = PackedBuffer(data, length)
                 assert buf.count_range(start, stop) == expected, (length, start, stop)
                 assert [buf.count_code(a, start, stop) for a in range(4)] == expected
 
 
 def test_insert_into_exact_buffer():
-    # every position and code on buffers of 0..12 codes: a buffer holds
-    # exactly ceil(length / 4) bytes, so it grows by one byte exactly
-    # when its last byte was full, and the padding slots stay zero
+    # every position and code on buffers of 0..12 codes: a leaf's int is
+    # exactly its codes, one slot longer after each insertion, and the
+    # padding slots stay zero
     for n in range(13):
         codes = [(i * 3 + i // 2) % 4 for i in range(n)]
         for pos in range(n + 1):
@@ -228,7 +241,8 @@ def test_insert_into_exact_buffer():
                 buf = leaf(codes)
                 buf.insert(pos, code)
                 model = codes[:pos] + [code] + codes[pos:]
-                assert len(buf._buf) == (n + 3) // 4 + (n % 4 == 0), (n, pos)
+                assert buf._buf == int.from_bytes(packed_bytes(model), "little"), (n, pos)
+                assert buf._buf.bit_length() <= 2 * (n + 1)
                 assert not any(buf.count_range(n + 1, (n + 4) & ~3)[1:])
                 assert buf.payload() == packed_bytes(model)
 
@@ -236,7 +250,7 @@ def test_insert_into_exact_buffer():
 @pytest.mark.parametrize("tail", [0, 3, 4096, 4101])
 def test_insert_into_full_buffer_raises(tail):
     # short and long tails into a buffer whose last byte is full: an
-    # insert in range grows it by one byte; one past either end raises
+    # insert in range grows it by one slot; one past either end raises
     # and leaves it as it was, padding slots included
     codes = [i % 4 for i in range(4104)]
     for pos in (-1 - tail, len(codes) + 1 + tail):
@@ -246,49 +260,61 @@ def test_insert_into_full_buffer_raises(tail):
         assert buf.length == len(codes) and buf.payload() == packed_bytes(codes)
     buf.insert(len(codes) - tail, 1)
     model = codes[: len(codes) - tail] + [1] + codes[len(codes) - tail :]
-    assert len(buf._buf) == len(codes) // 4 + 1
+    assert buf._buf.bit_length() <= 2 * len(model)
     assert buf.payload() == packed_bytes(model)
+
+
+def fenwick_values(tree) -> list:
+    """The per-leaf values that the Fenwick `tree` sums."""
+    values = list(tree[1:])
+    for node in range(len(values), 0, -1):
+        if (up := node + (node & -node)) <= len(values):
+            values[up - 1] -= values[node - 1]
+    return values
 
 
 def test_rope_flatten_over_odd_leaf_lengths(monkeypatch):
     # 8-symbol leaves split into 4 + 4 and grow one symbol at a time, so
-    # leaves end at every slot offset of a byte
+    # leaves end at every slot offset; each is exactly its symbols, the
+    # flat BWT is the oracle's, and the spent state flattens once
     monkeypatch.setattr(packedbuf, "LEAF", 8)
     rng = random.Random(9)
-    model = [2, 1, 3]
-    rope = Rope(leaf(model))
-    for _ in range(300):
-        pos, code = rng.randrange(len(model) + 1), rng.randrange(4)
-        j, off, before = rope.locate(pos, code)
-        assert before + rope.leaves[j].count_code(code, 0, off) == model[:pos].count(code)
-        rope.insert(j, off, code)
-        model.insert(pos, code)
-    lengths = [leaf.length for leaf in rope.leaves]
-    assert sum(lengths) == rope.length == len(model)
-    assert all(len(leaf._buf) == (leaf.length + 3) // 4 for leaf in rope.leaves)
-    assert {n % 4 for n in lengths} == {0, 1, 2, 3} and min(lengths) >= 4
-    flat = rope.flatten()
-    assert flat.codes() == model
-    assert flat.payload() == packed_bytes(model) and len(flat._buf) == (len(model) + 3) // 4
-    assert rope.leaves == []
-    with pytest.raises(RuntimeError):
-        rope.flatten()
+    text = PackedSequence.from_codes([rng.randrange(4) for _ in range(300)])
+    expected = oracle.full_index(text, k=4)
+    for advance in (construct.step, construct.prefetch_step):
+        state = construct.init_state(4)
+        ends = set()
+        for code in reversed(text.codes()):
+            advance(state, code)
+            ends |= {leaf.length % 4 for leaf in state.leaves}
+        construct.prefetch_flush(state)
+        lengths = [leaf.length for leaf in state.leaves]
+        assert sum(lengths) == text.length + 1
+        assert all(leaf._buf.bit_length() <= 2 * leaf.length for leaf in state.leaves)
+        assert ends == {0, 1, 2, 3} and min(lengths) >= 4
+        flat = state.as_index()
+        assert flat.bwt.payload() == expected.bwt.payload() and flat == expected
+        assert len(flat.bwt.data._buf) == (text.length + 4) // 4
+        assert state.leaves == []
+        with pytest.raises(RuntimeError):
+            state.as_index()
 
 
 def test_rope_set_keeps_ranks(monkeypatch):
+    # after every overwrite and insertion of both schedules, the Fenwick
+    # trees sum each leaf's codes and length, so every rank the descent
+    # makes is the model's
     monkeypatch.setattr(packedbuf, "LEAF", 8)
     rng = random.Random(10)
-    model = [rng.randrange(4) for _ in range(40)]
-    rope = Rope(leaf(model[:1]))
-    for pos in range(1, len(model)):
-        rope.insert(*rope.locate(pos, 0)[:2], model[pos])
-    for _ in range(200):
-        pos, code = rng.randrange(len(model)), rng.randrange(4)
-        j, off, _ = rope.locate(pos, code)
-        rope.set(j, off, model[pos], code)
-        model[pos] = code
-        for p in (0, pos, len(model)):
+    codes = [rng.randrange(4) for _ in range(120)]
+    for advance in (construct.step, construct.prefetch_step):
+        state = construct.init_state(4)
+        for code in reversed(codes):
+            advance(state, code)
+            leaves = state.leaves
+            assert fenwick_values(state.trees[4]) == [leaf.length for leaf in leaves]
             for a in range(4):
-                j, off, before = rope.locate(p, a)
-                assert before + rope.leaves[j].count_code(a, 0, off) == model[:p].count(a)
-    assert rope.flatten().codes() == model
+                assert fenwick_values(state.trees[a]) == [leaf.count_code(a, 0, leaf.length) for leaf in leaves]
+            assert len(state.steps) == (len(leaves) - 1).bit_length()
+        text = PackedSequence.from_codes(codes)
+        assert state.as_index() == oracle.full_index(text, k=4)
