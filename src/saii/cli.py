@@ -40,7 +40,8 @@ def _build_record(job):
 def cmd_build(args) -> int:
     """Build every record before writing any file, so a failing record
     leaves nothing behind.  The pool forks all its workers at once, so
-    it gets no more of them than there are records."""
+    it gets no more of them than there are records, and hands each about
+    four chunks of records rather than one record per round trip."""
     if args.jobs < 0:
         raise InvalidParams(f"--jobs must be >= 0, got {args.jobs}")
     records = read_sequences(args.input)
@@ -53,7 +54,7 @@ def cmd_build(args) -> int:
     workers = min(args.jobs or os.cpu_count() or 1, len(records))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_build_record, jobs))
+            results = list(pool.map(_build_record, jobs, chunksize=-(-len(jobs) // (4 * workers))))
     else:
         results = [_build_record(job) for job in jobs]
     for ordinal, blob, n in results:
@@ -72,14 +73,17 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _verify_one(text: PackedSequence, k: int) -> tuple:
-    """(ok, step, field, detail) for one text, each schedule against the oracle."""
+def _verify_one(text: PackedSequence, k: int) -> str | None:
+    """None when each schedule's build of `text` equals the oracle's
+    index, else the FAIL text of the first that differs."""
     expected = oracle.full_index(text, k=k)
     for schedule in ("standard", "prefetch"):
         field = first_mismatch(construct.build(text, k=k, schedule=schedule), expected)
         if field is not None:
-            return False, _locate_bad_step(text, k, schedule), field, f"{schedule} differs from oracle"
-    return True, None, None, None
+            shown = decode(text) if text.length <= 60 else decode(text)[:57] + "..."
+            step_at = _locate_bad_step(text, k, schedule)
+            return f"FAIL text={shown} step={step_at} field={field} ({schedule} differs from oracle)"
+    return None
 
 
 def _locate_bad_step(text: PackedSequence, k: int, schedule: str) -> int:
@@ -100,41 +104,32 @@ def cmd_verify(args) -> int:
     if args.exhaustive and args.input:
         raise InvalidParams("--exhaustive checks every text up to --max-len and takes no input file")
     k = args.k
-    failures = 0
-    trials = 0
     print(f"# seed {args.seed}")
+    # (length, texts) groups: every text of each length, or one group of
+    # trials (length None) from the file or the seed
     if args.exhaustive:
-        for length in range(1, args.max_len + 1):
-            bad = 0
-            for combo in itertools.product(range(4), repeat=length):
-                trials += 1
-                ok, step_at, field, detail = _verify_one(PackedSequence.from_codes(combo), k)
-                if not ok:
-                    failures += 1
-                    bad += 1
-                    print(
-                        f"FAIL text={''.join('ACGT'[c] for c in combo)} "
-                        f"step={step_at} field={field} ({detail})"
-                    )
-            print(f"len {length}: {4 ** length - bad}/{4 ** length} PASS")
+        groups = (
+            (length, map(PackedSequence.from_codes, itertools.product(range(4), repeat=length)))
+            for length in range(1, args.max_len + 1)
+        )
+    elif args.input:
+        groups = [(None, [encode_text(rec.sequence) for rec in read_sequences(args.input)])]
     else:
-        if args.input:
-            texts = [encode_text(rec.sequence) for rec in read_sequences(args.input)]
-        else:
-            rng = np.random.default_rng(args.seed)
-            texts = [
-                _random_sequence(rng, int(rng.integers(1, args.max_len + 1)))
-                for _ in range(args.trials)
-            ]
+        rng = np.random.default_rng(args.seed)
+        groups = [(None, [_random_sequence(rng, int(rng.integers(1, args.max_len + 1))) for _ in range(args.trials)])]
+    trials = failures = 0
+    for length, texts in groups:
+        before = failures
         for t, text in enumerate(texts):
+            fail = _verify_one(text, k)
             trials += 1
-            ok, step_at, field, detail = _verify_one(text, k)
-            shown = decode(text) if text.length <= 60 else decode(text)[:57] + "..."
-            if ok:
-                print(f"trial {t}: len={text.length} PASS")
-            else:
-                failures += 1
-                print(f"trial {t}: len={text.length} FAIL text={shown} step={step_at} field={field} ({detail})")
+            failures += fail is not None
+            if length is None:
+                print(f"trial {t}: len={text.length} {fail or 'PASS'}")
+            elif fail:
+                print(fail)
+        if length is not None:
+            print(f"len {length}: {4 ** length - failures + before}/{4 ** length} PASS")
     print(f"{trials - failures}/{trials} passed (k={k}, seed={args.seed})")
     return 2 if failures else 0
 

@@ -1,11 +1,11 @@
 """Incremental FM-index construction by right-to-left symbol insertion.
 
 Starting from the index of the sentinel alone, each step absorbs the
-next symbol to the left using only the index built so far.  The
-sentinel's new row is one backward-search step (the sentinel row *is*
-the row of the current suffix, so no full search is ever run); the
-symbol then takes the sentinel's old slot, and the sentinel moves to
-the new row.
+next symbol to the left, which `build` reads in place from the text's
+payload, using only the index built so far.  The sentinel's new row is
+one backward-search step (the sentinel row *is* the row of the current
+suffix, so no full search is ever run); the symbol then takes the
+sentinel's old slot, and the sentinel moves to the new row.
 
 There is one step, `prefetch_step`, after the paper's prefetch
 controller: it leaves the sentinel pending (`SaiiState.pending`, its
@@ -48,7 +48,6 @@ from .packedbuf import PackedBuffer
 
 DEFAULT_K = 2048
 HARDWARE_MAX_LEN = 131_072  # BRAM budget of the reference hardware
-_RUN = 32  # text symbols `build` reads as one int
 _ABOVE = ((1, 2, 3), (2, 3), (3,), ())  # the codes above each code
 
 
@@ -206,8 +205,8 @@ def build(
     """Build the FM-index of text + sentinel incrementally.
 
     Both schedules produce identical indexes; no suffix array is built.
-    The text is read backwards `_RUN` symbols at a time, each run as one
-    int, so no step reads a code through a call.
+    Each code is read in place from the text's payload, last symbol
+    first, so no step reads a code through a call.
     """
     if text.length == 0:
         raise EmptyText("cannot index an empty text")
@@ -219,9 +218,7 @@ def build(
         )
     state = init_state(k)
     advance = step if schedule == "standard" else prefetch_step
-    for stop in range(text.length, 0, -_RUN):
-        start = max(stop - _RUN, 0)
-        run = text.slots(start, stop)
-        for shift in range((stop - start - 1) << 1, -1, -2):
-            advance(state, run >> shift & 3)
+    data = text.payload()
+    for i in range(text.length - 1, -1, -1):
+        advance(state, data[i >> 2] >> ((i & 3) << 1) & 3)
     return state.as_index(prefetch_built=schedule == "prefetch")

@@ -141,16 +141,17 @@ def _step(index: FmIndex, code: int, low: int, high: int) -> tuple:
 
 
 def search(index: FmIndex, query: PackedSequence) -> SearchRange:
-    """Backward search over the whole query, right to left.
-
-    The recurrences stay exact even after the interval empties, so the
-    final `low` is always the rank of the query among all suffixes.
+    """Backward search over the whole query, right to left: each code is
+    read in place from the query's payload.  The recurrences stay exact
+    even after the interval empties, so the final `low` is always the
+    rank of the query among all suffixes.
     """
     if query.length == 0:
         raise EmptyText("cannot search for an empty query")
     low, high = 0, index.n - 1
-    for code in reversed(query.codes()):
-        low, high = _step(index, code, low, high)
+    data = query.payload()
+    for i in range(query.length - 1, -1, -1):
+        low, high = _step(index, data[i >> 2] >> ((i & 3) << 1) & 3, low, high)
     return SearchRange(low, high)
 
 

@@ -52,7 +52,7 @@ class SampledOccTable:
 
     def checkpoints(self):
         """(n // k + 1, 4) array; row j holds the raw tallies over
-        BWT[0 : j*k] (half open).  Do not mutate."""
+        BWT[0 : j*k] (half open).  Written only by the table's maker."""
         return self._cp
 
     def rebuild_from(self, bwt: Bwt, from_block: int) -> "SampledOccTable":

@@ -3,10 +3,11 @@
 Everything here favors being obviously correct over being fast: the
 suffix array comes from prefix doubling with a plain comparison sort
 (O(n) memory, so `saii verify` can check long texts), the BWT from the
-suffix-array definition, and C from a tally of the text.  This module
-is also the only source of suffix arrays; the incremental constructor
-never builds one.  Its index is finished like a built one: the BWT
-holds `bytes`.
+suffix-array definition, and C and the checkpoint rows from tallies of
+the text and the BWT, never from the count kernel that builds run.
+This module is also the only source of suffix arrays; the incremental
+constructor never builds one.  Its index is finished like a built one:
+the BWT holds `bytes`.
 """
 
 from __future__ import annotations
@@ -63,10 +64,17 @@ def bwt_from_suffix_array(text: PackedSequence, sa: list) -> Bwt:
 
 
 def full_index(text: PackedSequence, k: int = 2048) -> FmIndex:
-    """Reference FM-index, its BWT read off the suffix array and C from
-    a tally of the text; occ materialized at any k (k = 1 gives a
-    checkpoint per position)."""
-    bwt = bwt_from_suffix_array(text, suffix_array(text))
+    """Reference FM-index, its BWT read off the suffix array, C from a
+    tally of the text and occ from a running tally of the BWT's codes,
+    at any k (k = 1 gives a checkpoint per position)."""
+    sa = suffix_array(text)
+    bwt = bwt_from_suffix_array(text, sa)
     codes = text.codes()
     c = CArray.from_tally([codes.count(a) for a in range(4)])
-    return FmIndex(bwt=bwt, c=c, occ=SampledOccTable.build(bwt, k))
+    occ = SampledOccTable(k, len(sa))
+    rows, tally = occ.checkpoints(), [0, 0, 0, 0]
+    for i, start in enumerate(sa, start=1):
+        tally[codes[start - 1] if start else A] += 1  # rows count the sentinel's slot as A
+        if i % k == 0:
+            rows[i // k] = tally
+    return FmIndex(bwt=bwt, c=c, occ=occ)

@@ -10,8 +10,10 @@ buffers have equal payloads.  `fold` writes this layout.  A
 construction inserts into (`saii.construct`) as that one int: only a
 leaf takes `insert`, so no finished buffer ever changes.  Both read
 alike: `slots` reads any range of either as one int, and the counts
-read through it; `code_at`, which a search calls on most steps, reads
-its one slot inline, and `codes` decodes `payload`.
+read through it; `code_at`, which a search calls on about 40 % of its
+steps, reads its one slot inline, and `codes` decodes `payload`.  A
+build reads its text, and a search its query, in place from `payload`,
+last symbol first, through neither `slots` nor `codes`.
 
 An insertion into a leaf is a shift, a mask and an OR: the bits below
 the slot stay, the slot takes the code and the rest move up a slot.  A
@@ -72,8 +74,11 @@ class PackedBuffer:
         return cls(b"".join(fold(data[i : i + CHUNK]) for i in range(0, len(data), CHUNK)), len(data))
 
     def slots(self, start: int, stop: int) -> int:
-        """The codes at positions [start, stop), 0 <= start <= stop <=
-        length, as one int of the layout: position start in bits 0-1."""
+        """The codes at positions [start, stop) as one int of the layout:
+        position start in bits 0-1.  IndexError unless 0 <= start <= stop
+        <= length."""
+        if not 0 <= start <= stop <= self.length:
+            raise IndexError(f"slots [{start}, {stop}) outside [0, {self.length}]")
         buf = self._buf
         if type(buf) is int:
             x = buf >> (start << 1)
@@ -102,7 +107,8 @@ class PackedBuffer:
 
     def count_range(self, start: int, stop: int) -> list:
         """Tallies of each code over symbol positions [start, stop);
-        [0, 0, 0, 0] when the range is empty or reversed."""
+        [0, 0, 0, 0] when the range is empty or reversed, IndexError when
+        it reaches outside the buffer."""
         if stop <= start:
             return [0, 0, 0, 0]
         # no local holds a length: ints above 256 are allocated, and one
@@ -120,7 +126,10 @@ class PackedBuffer:
 
     def count_code(self, code: int, start: int, stop: int) -> int:
         """Occurrences of one code over symbol positions [start, stop);
-        0 when the range is empty or reversed."""
+        0 when the range is empty or reversed, IndexError when it reaches
+        outside the buffer; ValueError for a code outside 0..3."""
+        if code >> 2:
+            raise ValueError(f"code {code} outside 0..3")
         if stop <= start:
             return 0
         # the planes as in `count_range`

@@ -14,6 +14,7 @@ from saii.cli import main
 from saii.costmodel import HardwareParams, emit_scaling_table
 from saii.fasta import FastaFormatError, parse_fasta, read_sequences
 from saii.fmindex import Bwt, FmIndex, first_mismatch
+from saii.packedbuf import PackedBuffer
 from saii.serialize import load_index
 
 from helpers import decode_with_sentinel
@@ -83,12 +84,17 @@ def test_build_parallel_jobs(tmp_path, capsys):
 
 def test_build_pool_bounded_by_records(tmp_path, capsys, monkeypatch):
     # the pool forks every worker it is given at once; this stand-in
-    # records how many and maps in this process
-    asked = []
+    # records how many, and the chunk size it is handed, and maps in this
+    # process
+    asked, chunks = [], []
+
+    def pool_map(fn, jobs, chunksize=1):
+        chunks.append(chunksize)
+        return map(fn, jobs)
 
     def pool(max_workers):
         asked.append(max_workers)
-        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+        return contextlib.nullcontext(types.SimpleNamespace(map=pool_map))
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
     src = tmp_path / "multi.fa"
@@ -98,8 +104,14 @@ def test_build_pool_bounded_by_records(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: --jobs must be >= 0")
     assert not asked and not list(tmp_path.glob("*.saii"))
     assert main(["build", str(src), "-o", out, "--jobs", "8", "--k", "4"]) == 0
-    assert asked == [2]
+    assert asked == [2] and chunks == [1]
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
+    # many records go to each worker a few chunks at a time, not one per
+    # round trip
+    src.write_text("".join(f">r{i}\nACGTTGCA\n" for i in range(100)))
+    assert main(["build", str(src), "-o", out, "--jobs", "4", "--k", "4"]) == 0
+    assert asked[-1] == 4 and chunks[-1] == 7  # ceil(100 / (4 * 4))
+    assert len(capsys.readouterr().out.strip().splitlines()) == 100
 
 
 def test_build_invalid_character_exit_code(tmp_path, capsys):
@@ -194,7 +206,7 @@ def test_verify_golden_output(capsys):
     )
 
 
-def test_verify_injected_fault_detected(capsys, monkeypatch):
+def corrupt_prefetch_builds(monkeypatch):
     as_index = construct.SaiiState.as_index
 
     def corrupting_as_index(state, prefetch_built=False):
@@ -210,9 +222,55 @@ def test_verify_injected_fault_detected(capsys, monkeypatch):
         return index
 
     monkeypatch.setattr(construct.SaiiState, "as_index", corrupting_as_index)
+
+
+def test_verify_injected_fault_detected(capsys, monkeypatch):
+    corrupt_prefetch_builds(monkeypatch)
     assert main(["verify", "--trials", "2", "--max-len", "12", "--seed", "5"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "field=bwt" in out
+
+
+def test_verify_fail_lines_golden(capsys, monkeypatch):
+    # the exact report of a fault, seeded and exhaustive
+    corrupt_prefetch_builds(monkeypatch)
+    fail = "step=0 field=bwt (prefetch differs from oracle)"
+    assert main(["verify", "--trials", "2", "--max-len", "12", "--seed", "5"]) == 2
+    assert capsys.readouterr().out == (
+        "# seed 5\n"
+        f"trial 0: len=9 FAIL text=TGATTGTAA {fail}\n"
+        f"trial 1: len=6 FAIL text=ACTGCA {fail}\n"
+        "0/2 passed (k=4, seed=5)\n"
+    )
+    assert main(["verify", "--exhaustive", "--max-len", "2"]) == 2
+    one = [f"FAIL text={a} {fail}\n" for a in "ACGT"]
+    two = [f"FAIL text={a}{b} {fail}\n" for a in "ACGT" for b in "ACGT"]
+    assert capsys.readouterr().out == (
+        "# seed 1\n" + "".join(one) + "len 1: 0/4 PASS\n" + "".join(two) + "len 2: 0/16 PASS\n0/20 passed (k=4, seed=1)\n"
+    )
+
+
+def test_verify_catches_a_count_kernel_fault(capsys, monkeypatch):
+    # a fault in the kernel that tallies a build's checkpoint rows: one C
+    # too many in every [4, 8) block; the oracle's rows do not run it
+    count_range = PackedBuffer.count_range
+
+    def off_by_one(buf, start, stop):
+        counts = count_range(buf, start, stop)
+        if (start, stop) == (4, 8):
+            counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(PackedBuffer, "count_range", off_by_one)
+    assert main(["verify", "--trials", "3", "--max-len", "24", "--seed", "7"]) == 2
+    fail = "step=6 field=occ (standard differs from oracle)"  # the first suffix of 8 symbols
+    assert capsys.readouterr().out == (
+        "# seed 7\n"
+        f"trial 0: len=23 FAIL text=GCAGGCAGGTGTCTAGCCGTCAC {fail}\n"
+        "trial 1: len=6 PASS\n"
+        f"trial 2: len=7 FAIL text=TAGTCGG {fail}\n"
+        "1/3 passed (k=4, seed=7)\n"
+    )
 
 
 def test_verify_file_input(tmp_path, capsys):

@@ -321,13 +321,35 @@ def saii_calls(call) -> int:
 def test_calls_per_symbol():
     # the build's work counter, exact for a seeded text: per symbol the
     # standard schedule calls step, prefetch_step, count_code, the slot
-    # read count_code makes, prefetch_flush and insert, and the prefetch
-    # schedule all but step and prefetch_flush; leaf splits, the 32-symbol
-    # text runs and the finish add the rest
+    # read count_code makes (none at a leaf's offset 0), prefetch_flush
+    # and insert, and the prefetch schedule all but step and
+    # prefetch_flush; the text's one payload call, leaf splits and the
+    # finish add the rest
     text = random_text(random.Random(26), 3000, min_len=3000)
     calls = {s: saii_calls(lambda s=s: construct.build(text, k=2048, schedule=s)) for s in ("standard", "prefetch")}
-    assert calls == {"standard": 18_144, "prefetch": 12_144}
+    assert calls == {"standard": 18_051, "prefetch": 12_051}
     assert calls["standard"] <= 7 * 3000 and calls["prefetch"] <= 5 * 3000
+
+
+@pytest.mark.parametrize("schedule", ["standard", "prefetch"])
+def test_build_reads_text_codes_in_place(schedule, monkeypatch):
+    # the text's codes come straight from its payload: no slot read of the
+    # text (the leaves' ranks still read their own slots) and no decoded list
+    text = random_text(random.Random(26), 3000, min_len=3000)
+    expected = construct.build(text, k=64, schedule=schedule)
+    slots = PackedBuffer.slots
+
+    def text_refused(buf, start, stop):
+        if buf is text:
+            raise AssertionError("build read the text through slots")
+        return slots(buf, start, stop)
+
+    def refused(buf):
+        raise AssertionError("build decoded a buffer")
+
+    monkeypatch.setattr(PackedBuffer, "slots", text_refused)
+    monkeypatch.setattr(PackedBuffer, "codes", refused)
+    assert first_mismatch(construct.build(text, k=64, schedule=schedule), expected) is None
 
 
 @pytest.mark.parametrize("schedule", ["standard", "prefetch"])

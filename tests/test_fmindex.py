@@ -184,6 +184,21 @@ def test_search_reads_no_bwt_symbols(ref_queries, monkeypatch):
     assert reads == []
 
 
+def test_search_reads_query_codes_in_place(ref_queries, monkeypatch):
+    # the query's codes come straight from its payload: no decoded list
+    # and no slot read, with the same intervals as before the patch
+    index, queries = ref_queries
+    packed = [PackedSequence.from_codes(q) for q in queries]
+    expected = [search(index, q) for q in packed]
+
+    def refused(*args):
+        raise AssertionError("search read a query through a call")
+
+    monkeypatch.setattr(PackedBuffer, "slots", refused)
+    monkeypatch.setattr(PackedBuffer, "codes", refused)
+    assert [search(index, q) for q in packed] == expected
+
+
 def test_one_row_step_reads_its_symbol(monkeypatch):
     # a one-row interval takes its new high from the row's own symbol,
     # with no scan, and the one occ_count reads the rank directory;

@@ -230,6 +230,33 @@ def test_count_bytes_and_int_match():
                 assert [buf.count_code(a, start, stop) for a in range(4)] == expected
 
 
+@pytest.mark.parametrize("length", [1, 8, 4101])
+def test_counts_outside_the_buffer_raise(length):
+    # a range past either end would read padding slots (or shift by a
+    # negative count) and tally them as A, so it raises; an empty or
+    # reversed range counts 0 before any read, and a code outside 0..3 is
+    # refused
+    codes = [(i * 3 + i // 2) % 4 for i in range(length)]
+    for buf in (PackedBuffer.from_codes(codes), leaf(codes)):
+        for start, stop in [(0, length + 1), (0, length + 9), (-4, 2), (-1, length), (length, length + 1)]:
+            with pytest.raises(IndexError):
+                buf.slots(start, stop)
+            with pytest.raises(IndexError):
+                buf.count_range(start, stop)
+            for a in range(4):
+                with pytest.raises(IndexError):
+                    buf.count_code(a, start, stop)
+        for start, stop in [(0, 0), (length, length), (length + 5, length + 5), (2, -4), (length + 9, 0)]:
+            assert buf.count_range(start, stop) == [0, 0, 0, 0]
+            assert [buf.count_code(a, start, stop) for a in range(4)] == [0, 0, 0, 0]
+        for code in (4, -1, 7, -4):
+            for start, stop in [(0, length), (0, 0)]:
+                with pytest.raises(ValueError):
+                    buf.count_code(code, start, stop)
+    with pytest.raises(IndexError):
+        PackedSequence.from_codes([1]).count_range(0, 10)  # nine A's past the one C
+
+
 def test_insert_into_exact_buffer():
     # every position and code on buffers of 0..12 codes: a leaf's int is
     # exactly its codes, one slot longer after each insertion, and the
@@ -243,7 +270,6 @@ def test_insert_into_exact_buffer():
                 model = codes[:pos] + [code] + codes[pos:]
                 assert buf._buf == int.from_bytes(packed_bytes(model), "little"), (n, pos)
                 assert buf._buf.bit_length() <= 2 * (n + 1)
-                assert not any(buf.count_range(n + 1, (n + 4) & ~3)[1:])
                 assert buf.payload() == packed_bytes(model)
 
 
