@@ -103,6 +103,8 @@ def cmd_verify(args) -> int:
         raise InvalidParams(f"--trials and --max-len must be >= 1, got {args.trials} and {args.max_len}")
     if args.exhaustive and args.input:
         raise InvalidParams("--exhaustive checks every text up to --max-len and takes no input file")
+    if args.seed < 0:
+        raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
     k = args.k
     print(f"# seed {args.seed}")
     # (length, texts) groups: every text of each length, or one group of
@@ -142,6 +144,8 @@ def cmd_bench(args) -> int:
     if not lengths or lengths[0] < 1:
         raise InvalidParams(f"--lengths needs one or more lengths >= 1, got {args.lengths!r}")
     params = HardwareParams(m=args.m, k=args.k, clock_hz=args.clock_hz)
+    if args.seed < 0:
+        raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
     if args.mode == "model":
         sys.stdout.write(emit_scaling_table(params, lengths))
         return 0

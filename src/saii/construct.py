@@ -52,7 +52,9 @@ _ABOVE = ((1, 2, 3), (2, 3), (3,), ())  # the codes above each code
 
 
 class SaiiState:
-    """Running index of the suffix absorbed so far.
+    """Running index of the suffix absorbed so far; a new state is the
+    empty text's index, the sentinel alone at row 0, and raises
+    InvalidSamplingRate unless 1 <= k < 2^32, before any step.
 
     `q` is the sentinel row in both schedules.  Between steps the
     standard schedule has the sentinel in the leaves at row `q` (its
@@ -68,7 +70,7 @@ class SaiiState:
         self.trees = [[0, 1], [0, 0], [0, 0], [0, 0], [0, 1]]
         self.steps = ()
         self.counts = [0, 0, 0, 0]
-        self.k, self.q, self.pending = k, 0, False
+        self.k, self.q, self.pending = _checked_rate(k), 0, False
 
     def as_index(self, prefetch_built: bool = False) -> FmIndex:
         """The finished index, after inserting a pending sentinel.  Final:
@@ -88,12 +90,6 @@ class SaiiState:
         del x  # released before the table is tallied
         occ = SampledOccTable.build(bwt, self.k)
         return FmIndex(bwt=bwt, c=CArray(tuple(self.counts)), occ=occ, prefetch_built=prefetch_built)
-
-
-def init_state(k: int) -> SaiiState:
-    """Index of the empty text: the sentinel alone, at row 0.  Raises
-    InvalidSamplingRate unless 1 <= k < 2^32, before any step."""
-    return SaiiState(_checked_rate(k))
 
 
 def step(state: SaiiState, code: int) -> int:
@@ -216,7 +212,7 @@ def build(
         raise CapacityExceeded(
             f"text of {text.length} symbols exceeds the hardware bound of {HARDWARE_MAX_LEN}"
         )
-    state = init_state(k)
+    state = SaiiState(k)
     advance = step if schedule == "standard" else prefetch_step
     data = text.payload()
     for i in range(text.length - 1, -1, -1):

@@ -21,19 +21,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .errors import InvalidParams
+from .errors import InvalidParams, InvalidSamplingRate
 
 WORDS_PER_CYCLE = 2  # refresh width of the hardware: the paper's i/2 term
 
 
 @dataclass(frozen=True)
 class HardwareParams:
+    """Checks itself when made: k < 1 raises InvalidSamplingRate, and
+    m < 1 or clock_hz <= 0 InvalidParams."""
+
     m: int = 3  # search cycles per iteration
     k: int = 2048  # occurrence-table sampling rate
     clock_hz: int = 120_000_000
 
-    def validate(self) -> None:
-        if self.m < 1 or self.k < 1 or self.clock_hz <= 0:
+    def __post_init__(self):
+        if self.k < 1:
+            raise InvalidSamplingRate(f"sampling rate must be >= 1, got {self.k}")
+        if self.m < 1 or self.clock_hz <= 0:
             raise InvalidParams(f"bad hardware parameters: {self}")
 
 
@@ -54,7 +59,6 @@ def predict_cycles(params: HardwareParams, n: int) -> CostReport:
     """Cycles to index an n-symbol sequence with and without prefetch,
     summed chunk by chunk; `per_chunk` holds the prefetch charge of
     each chunk, s(m + i/w) for its s iterations."""
-    params.validate()
     if n < 1:
         raise InvalidParams(f"sequence length must be >= 1, got {n}")
     m, k, w = params.m, params.k, WORDS_PER_CYCLE
@@ -72,7 +76,6 @@ def predict_cycles(params: HardwareParams, n: int) -> CostReport:
 
 def emit_scaling_table(params: HardwareParams, lengths) -> str:
     """CSV of model predictions, one row per length, ascending."""
-    params.validate()
     lengths = sorted(set(lengths))
     if not lengths:
         raise InvalidParams("need at least one length")

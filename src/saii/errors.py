@@ -35,7 +35,7 @@ class InvalidParams(SaiiError):
     """A numeric parameter (a length, a trial count, m, k, clock) is out of its legal range."""
 
 
-class InvalidSamplingRate(SaiiError, ValueError):
+class InvalidSamplingRate(InvalidParams, ValueError):
     """The occurrence checkpoint spacing k is below 1, or too large for
     the index file's u32 k field."""
 

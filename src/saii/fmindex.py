@@ -73,7 +73,8 @@ class SearchRange:
 @dataclass(frozen=True, eq=False)
 class FmIndex:
     """Aggregate of BWT, C array and sampled occurrence table, frozen
-    like its `Bwt`, so the table's rows stay those of its BWT.
+    like its `Bwt`: making it makes the table's rows read-only (its k
+    always is), so the rows stay those of its BWT.
 
     The length `n` (sentinel included) and sampling rate `k` are read
     from the BWT and the table.  `prefetch_built` records the schedule
@@ -84,6 +85,10 @@ class FmIndex:
     c: CArray
     occ: SampledOccTable
     prefetch_built: bool = False
+
+    def __post_init__(self):
+        # write=False, by position: the keyword form adds to a build's allocation peak
+        self.occ.checkpoints().setflags(False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FmIndex):

@@ -39,20 +39,25 @@ _PREFIX = tuple((1 << (r << 1)) - 1 for r in range(33))  # the first r slots
 
 
 class SampledOccTable:
-    """Sampling rate `k` and the n // k + 1 checkpoint rows of a BWT of n
-    symbols, and, once counted, the rank directory of that BWT."""
+    """Read-only sampling rate `k`, the n // k + 1 checkpoint rows of a
+    BWT of n symbols and, once counted, the rank directory of that BWT."""
 
-    __slots__ = ("k", "_cp", "_rank")
+    __slots__ = ("_k", "_cp", "_rank")
 
     def __init__(self, k: int, n: int):
         """Zeroed rows for a BWT of `n` symbols; row 0 stays zero."""
-        self.k = _checked_rate(k)
+        self._k = _checked_rate(k)
         self._cp = np.zeros((n // k + 1, 4), dtype=np.int64)
         self._rank = None
 
+    @property
+    def k(self) -> int:
+        return self._k
+
     def checkpoints(self):
         """(n // k + 1, 4) array; row j holds the raw tallies over
-        BWT[0 : j*k] (half open).  Written only by the table's maker."""
+        BWT[0 : j*k] (half open).  Written only by the table's maker,
+        and read-only once the table is part of an `FmIndex`."""
         return self._cp
 
     def rebuild_from(self, bwt: Bwt, from_block: int) -> "SampledOccTable":
@@ -62,7 +67,7 @@ class SampledOccTable:
         `bwt` holds the n symbols the rows were made for; blocks before
         `from_block` must already agree with it, and are not touched.
         """
-        k, cp, buf = self.k, self._cp, bwt.data
+        k, cp, buf = self._k, self._cp, bwt.data
         for j in range(max(from_block, 1), len(cp)):
             cp[j] = cp[j - 1] + buf.count_range((j - 1) * k, j * k)
         self._rank = None

@@ -15,8 +15,9 @@ Little-endian throughout:
 
 The CRC is verified before anything is parsed, so any single corrupted
 byte fails the load.  A file with a valid CRC must also be one that a
-build could have written: only flag bit 0 may be set, no padding bit is
-set (`PackedBuffer` refuses one), the sentinel slot reads as A, C and
+build could have written: only flag bit 0 may be set, n counts a symbol
+besides the sentinel (no build indexes the empty text), no padding bit
+is set (`PackedBuffer` refuses one), the sentinel slot reads as A, C and
 every checkpoint row agree with the BWT, and the last-to-first (LF) walk
 from row 0 passes through all n rows before it returns, so the BWT is
 that of some text.  The load reads the sentinel slot, C and the walk off
@@ -73,7 +74,7 @@ def loads_index(blob: bytes) -> FmIndex:
         raise IndexFormatError(f"unsupported format version {version}")
     if flags & ~_FLAG_PREFETCH:
         raise IndexFormatError(f"unknown flag bits {flags:#06x}")
-    if n < 1 or k < 1 or not dollar < n:
+    if n < 2 or k < 1 or not dollar < n:
         raise IndexFormatError("inconsistent header fields")
     rows_at = _HEADER.size + ((n + 3) >> 2)
     expected = rows_at + (n // k + 1) * 32

@@ -309,7 +309,13 @@ def test_bench_measure_smoke(capsys):
 
 
 def test_bench_bad_params(capsys):
-    assert main(["bench", "--lengths", "100", "--m", "0"]) == 1
+    # every mode rejects the hardware parameters before any output
+    bad = {"--m": "bad hardware parameters", "--clock-hz": "bad hardware parameters", "--k": "sampling rate must be >= 1"}
+    for mode in ("model", "measure", "both"):
+        for flag, message in bad.items():
+            assert main(["bench", "--lengths", "100", "--mode", mode, flag, "0"]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("k", ["0", "-1", "4294967296"])
@@ -339,24 +345,29 @@ def test_invalid_k_exit_code(tmp_path, capsys, command, k):
         ["bench", "--mode", "measure", "--lengths", ","],
         ["verify", "--max-len", "0", "--trials", "2"],
         ["verify", "--trials", "-1"],
+        ["verify", "--seed", "-1", "--trials", "1"],
+        ["bench", "--mode", "measure", "--seed", "-1", "--lengths", "64"],
+        ["bench", "--mode", "both", "--seed", "-1", "--lengths", "64"],
     ],
 )
 def test_bad_numeric_args_exit_code(capsys, argv):
+    # rejected before any output: one error line, nothing on stdout
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines()[-1].startswith("error: ")
-    assert "Traceback" not in captured.err
-    assert "passed" not in captured.out
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["build", "verify"])
 def test_non_utf8_input_exit_code(tmp_path, capsys, command):
-    src = tmp_path / "bin.fa"
-    src.write_bytes(b"\xff\xfe\x00ACGT")
-    assert main([command, str(src)]) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith(f"error: {src}: not a text file")
-    assert "Traceback" not in err
+    # a binary file, and a text file of whitespace alone
+    for content, message in ((b"\xff\xfe\x00ACGT", "not a text file"), (b" \n\t\n", "no sequence data")):
+        src = tmp_path / "in.fa"
+        src.write_bytes(content)
+        assert main([command, str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"error: {src}: {message}")
+        assert "Traceback" not in err
 
 
 def test_module_entrypoint_smoke():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from saii.costmodel import HardwareParams, emit_scaling_table, predict_cycles
-from saii.errors import InvalidParams
+from saii.errors import InvalidParams, InvalidSamplingRate
 
 DEFAULTS = HardwareParams()
 
@@ -80,6 +80,19 @@ def test_invalid_params():
         predict_cycles(DEFAULTS, 0)
     with pytest.raises(InvalidParams):
         emit_scaling_table(DEFAULTS, [])
+
+
+def test_params_check_themselves():
+    # a bad value fails where it is made, before any model call; k < 1
+    # is the index's own error, with no upper bound in the model
+    for bad in ({"m": 0}, {"clock_hz": 0}, {"clock_hz": -1}):
+        with pytest.raises(InvalidParams, match="bad hardware parameters"):
+            HardwareParams(**bad)
+    for k in (0, -1):
+        with pytest.raises(InvalidSamplingRate, match="sampling rate must be >= 1"):
+            HardwareParams(k=k)
+    assert issubclass(InvalidSamplingRate, InvalidParams)
+    assert predict_cycles(HardwareParams(k=1 << 40), 100).n == 100
 
 
 def test_prediction_pinned_values():

@@ -323,6 +323,7 @@ def test_first_mismatch_reports_field():
     assert first_mismatch(a, b) == "c"
     b2 = oracle.full_index(encode_text("ACGCTTT"), k=4)
     assert first_mismatch(a, b2) in {"bwt", "dollar_pos"}
+    assert first_mismatch(a, oracle.full_index(encode_text("ACGCTT"), k=4)) == "n"
 
 
 def test_index_equality_is_first_mismatch():
@@ -370,8 +371,9 @@ def test_finished_buffers_are_bytes():
 
 
 def test_c_array_is_frozen():
-    # an index's C is a tuple in a frozen CArray, so, like its BWT, it
-    # cannot change under the index: built, loaded or the oracle's
+    # an index's C is a tuple in a frozen CArray, and its table's rows
+    # and k are read-only, so, like its BWT, they cannot change under
+    # the index: built, loaded or the oracle's
     text = encode_text("ACGTTGCAACGT" * 8)
     built = [construct.build(text, k=4, schedule=s) for s in ("standard", "prefetch")]
     indexes = built + [loads_index(dumps_index(built[0])), oracle.full_index(text, k=4)]
@@ -381,5 +383,11 @@ def test_c_array_is_frozen():
             index.c.counts[3] += 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             index.c.counts = [0, 0, 0, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            index.occ.checkpoints()[1, 0] += 5
+        with pytest.raises(AttributeError):
+            index.occ.k = 3
+        assert index.k == 4
         assert search(index, encode_text("TTG")) == SearchRange(89, 96)
         assert loads_index(dumps_index(index)) == index
+        assert dumps_index(loads_index(dumps_index(index))) == dumps_index(index)

@@ -137,5 +137,5 @@ def test_invalid_k_is_typed():
         with pytest.raises(SaiiError, match="sampling rate"):
             SampledOccTable(k, 1)
         with pytest.raises(SaiiError, match="sampling rate"):
-            construct.init_state(k)  # before the first step
+            construct.SaiiState(k)  # before the first step
 

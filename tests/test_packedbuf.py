@@ -308,7 +308,7 @@ def test_rope_flatten_over_odd_leaf_lengths(monkeypatch):
     text = PackedSequence.from_codes([rng.randrange(4) for _ in range(300)])
     expected = oracle.full_index(text, k=4)
     for advance in (construct.step, construct.prefetch_step):
-        state = construct.init_state(4)
+        state = construct.SaiiState(4)
         ends = set()
         for code in reversed(text.codes()):
             advance(state, code)
@@ -334,7 +334,7 @@ def test_rope_set_keeps_ranks(monkeypatch):
     rng = random.Random(10)
     codes = [rng.randrange(4) for _ in range(120)]
     for advance in (construct.step, construct.prefetch_step):
-        state = construct.init_state(4)
+        state = construct.SaiiState(4)
         for code in reversed(codes):
             advance(state, code)
             leaves = state.leaves

@@ -232,6 +232,22 @@ def test_seeded_corruption_rejected_or_a_valid_index(tmp_path_factory, codes, k,
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("k", [1, 4])
+def test_sentinel_only_file_rejected(tmp_path, capsys, k):
+    # a CRC-valid file of n = 1 is the empty text's index, which no build
+    # writes: the sentinel alone, its slot counted as an A in row 1 at k = 1
+    rows = np.zeros((1 // k + 1, 4), dtype="<u8")
+    rows[1:, 0] = 1
+    body = struct.pack("<4sHHQIQ4Q", b"SAII", 1, 0, 1, k, 0, 0, 0, 0, 0) + b"\0" + rows.tobytes()
+    path = tmp_path / "empty.saii"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(IndexFormatError, match="header"):
+        load_index(path)
+    assert cli.main(["count", str(path), "A"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inconsistent header fields") and "Traceback" not in err
+
+
 def test_truncated_file_rejected():
     blob = dumps_index(construct.build(encode_text("ACGT"), k=4))
     with pytest.raises(IndexFormatError):
