@@ -9,7 +9,7 @@ bench`).
 """
 
 from .alphabet import PackedSequence, decode, encode_text
-from .construct import DEFAULT_K, build
+from .construct import build
 from .errors import (
     CapacityExceeded,
     EmptyText,
@@ -31,7 +31,7 @@ from .fmindex import (
     search,
 )
 from .costmodel import CostReport, HardwareParams, emit_scaling_table, predict_cycles
-from .occtable import SampledOccTable
+from .occtable import DEFAULT_K, SampledOccTable
 from .serialize import dump_index, dumps_index, load_index, loads_index
 
 __version__ = "0.1.0"

@@ -17,7 +17,15 @@ from .costmodel import HardwareParams, emit_scaling_table
 from .errors import InvalidParams, SaiiError
 from .fasta import read_sequences
 from .fmindex import first_mismatch, search
+from .occtable import DEFAULT_K, _checked_rate
 from .serialize import dumps_index, load_index
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of `--seed`, which must be >= 0."""
+    if seed < 0:
+        raise InvalidParams(f"--seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _random_sequence(rng: np.random.Generator, length: int) -> PackedSequence:
@@ -103,10 +111,7 @@ def cmd_verify(args) -> int:
         raise InvalidParams(f"--trials and --max-len must be >= 1, got {args.trials} and {args.max_len}")
     if args.exhaustive and args.input:
         raise InvalidParams("--exhaustive checks every text up to --max-len and takes no input file")
-    if args.seed < 0:
-        raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
-    k = args.k
-    print(f"# seed {args.seed}")
+    rng, k = _rng(args.seed), _checked_rate(args.k)
     # (length, texts) groups: every text of each length, or one group of
     # trials (length None) from the file or the seed
     if args.exhaustive:
@@ -117,8 +122,8 @@ def cmd_verify(args) -> int:
     elif args.input:
         groups = [(None, [encode_text(rec.sequence) for rec in read_sequences(args.input)])]
     else:
-        rng = np.random.default_rng(args.seed)
         groups = [(None, [_random_sequence(rng, int(rng.integers(1, args.max_len + 1))) for _ in range(args.trials)])]
+    print(f"# seed {args.seed}")
     trials = failures = 0
     for length, texts in groups:
         before = failures
@@ -143,29 +148,19 @@ def cmd_bench(args) -> int:
         raise InvalidParams(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
     if not lengths or lengths[0] < 1:
         raise InvalidParams(f"--lengths needs one or more lengths >= 1, got {args.lengths!r}")
-    params = HardwareParams(m=args.m, k=args.k, clock_hz=args.clock_hz)
-    if args.seed < 0:
-        raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
+    params, rng = HardwareParams(m=args.m, k=args.k, clock_hz=args.clock_hz), _rng(args.seed)
     if args.mode == "model":
         sys.stdout.write(emit_scaling_table(params, lengths))
         return 0
     print(f"# seed {args.seed}", file=sys.stderr)
-    rng = np.random.default_rng(args.seed)
-    measured = {}
-    for n in lengths:
+    # the model's rows with a build time appended, or n alone
+    header, *rows = emit_scaling_table(params, lengths).splitlines() if args.mode == "both" else ["n", *map(str, lengths)]
+    print(f"{header},build_s")
+    for n, row in zip(lengths, rows):
         text = _random_sequence(rng, n)
         started = time.perf_counter()
         construct.build(text, k=args.k)
-        measured[n] = time.perf_counter() - started
-    if args.mode == "measure":
-        print("n,build_s")
-        for n in lengths:
-            print(f"{n},{measured[n]:.6f}")
-        return 0
-    header, *rows = emit_scaling_table(params, lengths).splitlines()
-    print(f"{header},build_s")
-    for n, row in zip(lengths, rows):
-        print(f"{row},{measured[n]:.6f}")
+        print(f"{row},{time.perf_counter() - started:.6f}")
     return 0
 
 
@@ -179,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="index a FASTA or raw-text file")
     p.add_argument("input", help="FASTA file or raw ACGT text ('>'-less)")
     p.add_argument("-o", "--out", help="output path (default: INPUT.saii); multi-record FASTA appends .<ordinal>.saii")
-    p.add_argument("--k", type=int, default=construct.DEFAULT_K, help="occurrence checkpoint spacing (default %(default)s)")
+    p.add_argument("--k", type=int, default=DEFAULT_K, help="occurrence checkpoint spacing (default %(default)s)")
     p.add_argument("--schedule", choices=("standard", "prefetch"), default="standard")
     p.add_argument("--strict-capacity", action="store_true", help=f"reject texts longer than {construct.HARDWARE_MAX_LEN} symbols")
     p.add_argument("--substitute", action="store_true", help="replace non-ACGT characters with A instead of failing")
@@ -203,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="cycle-model table and wall-clock build times")
     p.add_argument("--lengths", default="16384,32768,65536,131072", help="comma-separated sequence lengths")
     p.add_argument("--mode", choices=("model", "measure", "both"), default="model")
-    p.add_argument("--k", type=int, default=2048)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--m", type=int, default=3, help="search cycles per iteration")
     p.add_argument("--clock-hz", type=int, default=120_000_000)
     p.add_argument("--seed", type=int, default=1)

@@ -43,10 +43,9 @@ from . import packedbuf
 from .alphabet import A, PackedSequence
 from .errors import CapacityExceeded, EmptyText, InvalidParams
 from .fmindex import Bwt, CArray, FmIndex
-from .occtable import SampledOccTable, _checked_rate, occ_count  # noqa: F401 -- bench/tracing.py wraps construct.occ_count
+from .occtable import DEFAULT_K, SampledOccTable, _checked_rate, occ_count  # noqa: F401 -- bench/tracing.py wraps construct.occ_count
 from .packedbuf import PackedBuffer
 
-DEFAULT_K = 2048
 HARDWARE_MAX_LEN = 131_072  # BRAM budget of the reference hardware
 _ABOVE = ((1, 2, 3), (2, 3), (3,), ())  # the codes above each code
 

@@ -12,7 +12,8 @@ needs no second sum: a chunk of s iterations costs s(m + 2i/w) =
 prefetch total less m n.
 
 With the defaults (m = 3, k = 2048, 120 MHz) a 131,072 symbol build
-costs 2,523,136 cycles, about 21 ms.
+costs 2,523,136 cycles, about 21 ms.  k is checked by the index's own
+rule and default, in `saii.occtable`; the model sets no bound of its own.
 """
 
 from __future__ import annotations
@@ -21,23 +22,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .errors import InvalidParams, InvalidSamplingRate
+from .errors import InvalidParams
+from .occtable import DEFAULT_K, _checked_rate
 
 WORDS_PER_CYCLE = 2  # refresh width of the hardware: the paper's i/2 term
 
 
 @dataclass(frozen=True)
 class HardwareParams:
-    """Checks itself when made: k < 1 raises InvalidSamplingRate, and
-    m < 1 or clock_hz <= 0 InvalidParams."""
+    """Checks itself when made: k by the index's rule, with no bound of
+    its own (InvalidSamplingRate outside [1, 2^32)), and m < 1 or
+    clock_hz <= 0 InvalidParams."""
 
     m: int = 3  # search cycles per iteration
-    k: int = 2048  # occurrence-table sampling rate
+    k: int = DEFAULT_K  # occurrence-table sampling rate
     clock_hz: int = 120_000_000
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidSamplingRate(f"sampling rate must be >= 1, got {self.k}")
+        _checked_rate(self.k)
         if self.m < 1 or self.clock_hz <= 0:
             raise InvalidParams(f"bad hardware parameters: {self}")
 

@@ -19,6 +19,8 @@ counted, such as a build's, never makes it.
 
 The table is tallied once per index from a finished BWT, by
 `saii.construct` at the end of a build or `saii.serialize` at load.
+This module is the home of k's one rule, `_checked_rate` (1 <= k < 2^32,
+the file's u32 field), and one default, `DEFAULT_K`, for every caller.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import InvalidSamplingRate
 if TYPE_CHECKING:  # fmindex imports this module
     from .fmindex import Bwt
 
+DEFAULT_K = 2048
 _LOW = 0x5555_5555_5555_5555  # the low bit of each 2-bit slot of a word
 _SPREAD = tuple(code * _LOW for code in range(4))  # the code in every slot
 _PREFIX = tuple((1 << (r << 1)) - 1 for r in range(33))  # the first r slots

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .alphabet import A, PackedSequence
 from .errors import EmptyText
 from .fmindex import Bwt, CArray, FmIndex
-from .occtable import SampledOccTable
+from .occtable import DEFAULT_K, SampledOccTable
 from .packedbuf import PackedBuffer
 
 
@@ -63,7 +63,7 @@ def bwt_from_suffix_array(text: PackedSequence, sa: list) -> Bwt:
     return Bwt(PackedBuffer.from_codes(codes), dollar_pos)
 
 
-def full_index(text: PackedSequence, k: int = 2048) -> FmIndex:
+def full_index(text: PackedSequence, k: int = DEFAULT_K) -> FmIndex:
     """Reference FM-index, its BWT read off the suffix array, C from a
     tally of the text and occ from a running tally of the BWT's codes,
     at any k (k = 1 gives a checkpoint per position)."""

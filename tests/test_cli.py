@@ -278,6 +278,11 @@ def test_verify_file_input(tmp_path, capsys):
     src.write_text(">x\nACGCTTG\n>y\nTTAGGC\n")
     assert main(["verify", str(src)]) == 0
     assert "2/2 passed" in capsys.readouterr().out
+    # a bad character fails while the file is read, before the seed line
+    src.write_text(">x\nACGCTTG\n>y\nTTNGGC\n")
+    assert main(["verify", str(src)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: invalid character 'N' at position 2\n"
 
 
 def test_verify_exhaustive_rejects_input_file(tmp_path, capsys):
@@ -319,21 +324,27 @@ def test_bench_bad_params(capsys):
 
 
 @pytest.mark.parametrize("k", ["0", "-1", "4294967296"])
-@pytest.mark.parametrize("command", ["build", "verify", "bench"])
+@pytest.mark.parametrize(
+    "command", ["build", "verify", "verify-exhaustive", "verify-file", "bench", "bench-model", "bench-both"]
+)
 def test_invalid_k_exit_code(tmp_path, capsys, command, k):
-    # 2^32 does not fit the index file's u32 k field, so it is rejected
-    # before any step and no file is written
+    # 2^32 does not fit the index file's u32 k field, so every command
+    # rejects it, like k < 1, before any output, and no file is written
     src = tmp_path / "t.fa"
     src.write_text(">t\nACGCTTG\n")
     argv = {
         "build": ["build", str(src), "-o", str(tmp_path / "t.saii")],
         "verify": ["verify", "--trials", "2"],
+        "verify-exhaustive": ["verify", "--exhaustive", "--max-len", "2"],
+        "verify-file": ["verify", str(src)],
         "bench": ["bench", "--mode", "measure", "--lengths", "64"],
+        "bench-model": ["bench", "--mode", "model", "--lengths", "64"],
+        "bench-both": ["bench", "--mode", "both", "--lengths", "64"],
     }[command]
     assert main(argv + ["--k", k]) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith("error: sampling rate must be >= 1")
-    assert "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: sampling rate must be >= 1")
     assert not (tmp_path / "t.saii").exists()
 
 
@@ -365,9 +376,9 @@ def test_non_utf8_input_exit_code(tmp_path, capsys, command):
         src = tmp_path / "in.fa"
         src.write_bytes(content)
         assert main([command, str(src)]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1].startswith(f"error: {src}: {message}")
-        assert "Traceback" not in err
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {src}: {message}")
 
 
 def test_module_entrypoint_smoke():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from saii import DEFAULT_K
 from saii.costmodel import HardwareParams, emit_scaling_table, predict_cycles
 from saii.errors import InvalidParams, InvalidSamplingRate
 
@@ -83,16 +84,18 @@ def test_invalid_params():
 
 
 def test_params_check_themselves():
-    # a bad value fails where it is made, before any model call; k < 1
-    # is the index's own error, with no upper bound in the model
+    # a bad value fails where it is made, before any model call; k takes
+    # the index's own rule and message, as no index of k >= 2^32 can be
+    # built, stored in the file's u32 field or loaded
     for bad in ({"m": 0}, {"clock_hz": 0}, {"clock_hz": -1}):
         with pytest.raises(InvalidParams, match="bad hardware parameters"):
             HardwareParams(**bad)
-    for k in (0, -1):
-        with pytest.raises(InvalidSamplingRate, match="sampling rate must be >= 1"):
+    for k in (0, -1, 1 << 32, 1 << 40):
+        with pytest.raises(InvalidSamplingRate, match=r"^sampling rate must be >= 1 and < 2\^32, the index file's u32 k field, got "):
             HardwareParams(k=k)
     assert issubclass(InvalidSamplingRate, InvalidParams)
-    assert predict_cycles(HardwareParams(k=1 << 40), 100).n == 100
+    assert predict_cycles(HardwareParams(k=(1 << 32) - 1), 100).n == 100
+    assert HardwareParams().k == DEFAULT_K
 
 
 def test_prediction_pinned_values():

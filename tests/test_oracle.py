@@ -6,6 +6,7 @@ import pytest
 
 from saii import oracle, packedbuf
 from saii.alphabet import PackedSequence, decode, encode_text
+from saii.errors import EmptyText
 from saii.fmindex import Bwt
 from saii.packedbuf import PackedBuffer
 
@@ -19,6 +20,8 @@ def test_suffix_array_worked_example():
 def test_suffix_array_trivial_cases():
     assert oracle.suffix_array(encode_text("A")) == [1, 0]
     assert oracle.suffix_array(encode_text("AAAA")) == [4, 3, 2, 1, 0]
+    with pytest.raises(EmptyText):
+        oracle.suffix_array(PackedSequence(b"", 0))
 
 
 def test_suffix_array_is_sorted_permutation():

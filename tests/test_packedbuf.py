@@ -29,6 +29,7 @@ def test_from_codes_roundtrip(codes):
     grown = leaf(codes)
     assert type(grown._buf) is int and grown._buf.bit_length() <= 2 * n
     assert grown == buf and grown.payload() == buf.payload() and grown.codes() == codes
+    assert (buf == n) is False and buf != codes  # a non-buffer is never equal
     assert [grown.code_at(i) for i in range(n)] == [buf.code_at(i) for i in range(n)] == codes
     assert grown.count_range(0, n) == buf.count_range(0, n) == [codes.count(a) for a in range(4)]
     assert [grown.count_code(a, 0, n) for a in range(4)] == [buf.count_code(a, 0, n) for a in range(4)]
