@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import EmptyText, InvalidCharacter
 from .packedbuf import BAD, CHUNK, PackedBuffer, fold
 
-A, C, G, T = 0, 1, 2, 3
+A = 0
 SYMBOLS = "ACGT"
 
 

@@ -5,11 +5,9 @@ refresh whose cost grows with the amount of index built so far: every
 iteration inside chunk i (the i-th group of k iterations; the last one
 holds n mod k when k does not divide n) charges i / WORDS_PER_CYCLE
 refresh cycles with the merged update of the prefetch design, twice
-that without it.  `predict_cycles` sums the prefetch charge chunk by
-chunk as exact rationals and rounds up only at the end.  The baseline
-needs no second sum: a chunk of s iterations costs s(m + 2i/w) =
-2 s(m + i/w) - s m without prefetch, so its total is twice the
-prefetch total less m n.
+that without it, whatever the text: the model assumes every row built
+so far is refreshed, and does not model refreshing only the rows past
+the edit point q.  `predict_cycles` sums the chunks in closed form.
 
 With the defaults (m = 3, k = 2048, 120 MHz) a 131,072 symbol build
 costs 2,523,136 cycles, about 21 ms.  k is checked by the index's own
@@ -19,8 +17,6 @@ rule and default, in `saii.occtable`; the model sets no bound of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil
 
 from .errors import InvalidParams
 from .occtable import DEFAULT_K, _checked_rate
@@ -50,7 +46,6 @@ class CostReport:
     cycles_prefetch: int
     cycles_baseline: int
     wall_time_s: float
-    per_chunk: list  # exact per-chunk cycle contributions (prefetch schedule)
 
     @property
     def wall_time_ms(self) -> float:
@@ -59,20 +54,23 @@ class CostReport:
 
 def predict_cycles(params: HardwareParams, n: int) -> CostReport:
     """Cycles to index an n-symbol sequence with and without prefetch,
-    summed chunk by chunk; `per_chunk` holds the prefetch charge of
-    each chunk, s(m + i/w) for its s iterations."""
+    in integers and O(1) time and memory.  With c = ceil(n/k) chunks,
+    s = n - (c-1)k iterations in the last and w = WORDS_PER_CYCLE, the
+    prefetch total sum s_i(m + i/w) is N/w for
+    N = k((c-1)mw + c(c-1)/2) + s(mw + c), and the baseline total
+    sum s_i(m + 2i/w) is (2N - mnw)/w; each is rounded up once."""
     if n < 1:
         raise InvalidParams(f"sequence length must be >= 1, got {n}")
     m, k, w = params.m, params.k, WORDS_PER_CYCLE
-    per_chunk = [Fraction(min(k, n - (i - 1) * k) * (m * w + i), w) for i in range(1, -(-n // k) + 1)]
-    total = sum(per_chunk)
-    cycles = ceil(total)
+    c = -(-n // k)
+    s = n - (c - 1) * k
+    total = k * ((c - 1) * m * w + c * (c - 1) // 2) + s * (m * w + c)  # N: w times the prefetch total
+    cycles = -(-total // w)
     return CostReport(
         n=n,
         cycles_prefetch=cycles,
-        cycles_baseline=ceil(2 * total - m * n),
+        cycles_baseline=-(-(2 * total - m * n * w) // w),
         wall_time_s=cycles / params.clock_hz,
-        per_chunk=per_chunk,
     )
 
 

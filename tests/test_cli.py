@@ -300,6 +300,11 @@ def test_bench_model_csv(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "n,cycles_prefetch,cycles_baseline,wall_ms"
     assert out[1].startswith("131072,2523136,4653056,21.026")
+    # 10^8 chunks at k = 1: the model holds no per-chunk state
+    n = 10**8
+    assert main(["bench", "--k", "1", "--lengths", str(n), "--mode", "model"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[1] == f"{n},{3 * n + n * (n + 1) // 4},{3 * n + n * (n + 1) // 2},20833336041.667"
 
 
 def test_bench_measure_smoke(capsys):

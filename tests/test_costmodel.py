@@ -1,12 +1,24 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from saii import DEFAULT_K
-from saii.costmodel import HardwareParams, emit_scaling_table, predict_cycles
+from saii.costmodel import WORDS_PER_CYCLE, HardwareParams, emit_scaling_table, predict_cycles
 from saii.errors import InvalidParams, InvalidSamplingRate
 
 DEFAULTS = HardwareParams()
+
+
+def _chunk_sums(m: int, k: int, n: int) -> tuple:
+    """The model summed chunk by chunk in exact rationals: chunk i of s
+    iterations costs s(m + i/w) with prefetch and s(m + 2i/w) without."""
+    pre = base = Fraction(0)
+    for i, start in enumerate(range(0, n, k), start=1):
+        s = min(k, n - start)
+        pre += s * (m + Fraction(i, WORDS_PER_CYCLE))
+        base += s * (m + Fraction(2 * i, WORDS_PER_CYCLE))
+    return pre, base
 
 
 def test_headline_cycle_count():
@@ -19,8 +31,9 @@ def test_headline_cycle_count():
 def test_single_chunk():
     k = DEFAULTS.k
     report = predict_cycles(DEFAULTS, k)
-    assert sum(report.per_chunk) == k * (3 + Fraction(1, 2))
+    assert _chunk_sums(3, k, k) == (k * (3 + Fraction(1, 2)), k * (3 + 1))
     assert report.cycles_prefetch == k * 3 + k // 2
+    assert report.cycles_baseline == k * 3 + k
 
 
 def test_baseline_doubles_refresh_only():
@@ -42,12 +55,32 @@ def test_prefetch_ratio_monotone_to_two():
 
 
 def test_exact_rational_totals():
-    # rounding is a final ceiling; per-chunk contributions sum exactly
-    params = HardwareParams(m=1, k=3)
-    report = predict_cycles(params, 7)
-    assert report.cycles_prefetch == -(-sum(report.per_chunk) // 1)
-    total = sum(report.per_chunk)
-    assert report.cycles_prefetch - 1 < total <= report.cycles_prefetch
+    # the closed form equals the exact per-chunk sum rounded up once, at
+    # n = 1, k = 1, k > n, k not dividing n and on sums that are not whole
+    rounded = 0
+    for m in (1, 3, 7):
+        for k in (1, 2, 3, 4, 7, 64, 1000):
+            for n in (1, 2, 3, 5, 6, 7, 8, 63, 64, 65, 100, 777):
+                pre, base = _chunk_sums(m, k, n)
+                report = predict_cycles(HardwareParams(m=m, k=k), n)
+                assert report.cycles_prefetch == -(-pre // 1), (m, k, n)
+                assert report.cycles_baseline == -(-base // 1), (m, k, n)
+                rounded += pre.denominator != 1
+    assert 0 < rounded < 3 * 7 * 12  # w's rounding is taken and skipped
+
+
+def test_constant_memory():
+    # no per-chunk state: n = 10^6 at k = 1 is a million chunks
+    params = HardwareParams(k=1)
+    predict_cycles(params, 10)
+    tracemalloc.start()
+    try:
+        report = predict_cycles(params, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+    assert report.cycles_prefetch == 3 * 10**6 + 10**6 * (10**6 + 1) // 4
 
 
 def test_partial_final_chunk_pro_rata():
@@ -55,8 +88,9 @@ def test_partial_final_chunk_pro_rata():
     n = k + 100
     report = predict_cycles(DEFAULTS, n)
     expected = k * (m + Fraction(1, 2)) + 100 * (m + Fraction(2, 2))
+    assert _chunk_sums(m, k, n)[0] == expected
     assert report.cycles_prefetch == expected
-    assert report.per_chunk == [k * (m + Fraction(1, 2)), 100 * (m + Fraction(2, 2))]
+    assert report.cycles_baseline == k * (m + 1) + 100 * (m + 2)
 
 
 def test_quadratic_growth():
@@ -107,7 +141,6 @@ def test_prediction_pinned_values():
     report = predict_cycles(params, 777)
     pre = sum(3 + Fraction(j // 256 + 1, 2) for j in range(777))
     base = sum(3 + Fraction(2 * (j // 256 + 1), 2) for j in range(777))
-    assert sum(report.per_chunk) == pre
     assert report.cycles_prefetch == -(-pre // 1)
     assert report.cycles_baseline == -(-base // 1)
 

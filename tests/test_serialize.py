@@ -92,6 +92,10 @@ def _unknown_flags(body) -> None:
     struct.pack_into("<H", body, 6, 0xFFFE)
 
 
+def _dollar_to_n(body) -> None:
+    struct.pack_into("<Q", body, 20, 15)  # one past the last BWT slot
+
+
 # n = 15 at k = 4: the BWT is bytes 60..63 with one padding slot in the
 # top bits of byte 63, and checkpoint row j starts at byte 64 + 32 j.
 @pytest.mark.parametrize(
@@ -102,8 +106,9 @@ def _unknown_flags(body) -> None:
         (_add_u64(64 + 32 + 24, 1), "checkpoints"),  # row 1, count of T
         (_add_u64(28 + 24, 1), "C array"),  # C[T]
         (_unknown_flags, "flag bits"),  # every bit but the prefetch bit
+        (_dollar_to_n, "inconsistent header fields"),
     ],
-    ids=["sentinel", "padding", "checkpoint", "c", "flags"],
+    ids=["sentinel", "padding", "checkpoint", "c", "flags", "dollar"],
 )
 def test_forged_field_rejected(edit, message):
     blob = dumps_index(construct.build(encode_text("ACGCTTGACGTTAG"), k=4))
